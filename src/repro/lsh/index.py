@@ -22,6 +22,13 @@ Implementation notes
   candidate union with one ``np.unique`` over the concatenated
   per-table gathers, which is what makes CIVS's multi-query pattern
   (one query per supporting item, paper Fig. 4(b)) cheap.
+* Foreign points (serve-time queries) are hashed against every table
+  at once: the tables' projections are stacked into one matrix, so
+  :meth:`LSHIndex.point_bucket_hits` costs a few column-blocked products
+  per 64-row chunk, one key mix for all tables and one binary search
+  per table.  :meth:`LSHIndex.bucket_owners` maps fused buckets to the
+  owners of their members, which is all the serving shortlist needs
+  from a hit.
 * Peeling (paper §4.4) uses an *active mask*: peeled items stay in the
   tables but are filtered out of every query — O(1) per peel, no rebuild.
 * The batched peeling driver reads the collision *structure* directly:
@@ -41,12 +48,29 @@ from scipy.sparse.csgraph import connected_components
 from repro.exceptions import ValidationError
 from repro.lsh.hashing import PStableHashFamily
 from repro.utils.rng import as_generator, spawn_generators
-from repro.utils.validation import check_data_matrix, check_index_array
+from repro.utils.validation import (
+    check_data_matrix,
+    check_index_array,
+    check_query_block,
+)
 
-__all__ = ["LSHIndex"]
+__all__ = ["HASH_CHUNK_ROWS", "LSHIndex", "csr_gather", "sorted_unique"]
+
+#: Rows hashed per chunk by :meth:`LSHIndex.point_bucket_hits`; bounds
+#: the ``(rows, n_tables * n_projections)`` coordinate temporaries.
+HASH_CHUNK_ROWS = 64
+# Hash codes are int64: a floored segment coordinate must lie in
+# [-2**63, 2**63) to be cast without undefined behaviour.
+_INT64_SPAN = 2.0**63
+# OpenBLAS (numpy's bundled BLAS) spreads a matrix product over threads
+# above a few 10^5 multiply-adds.  Beside other busy serving threads or
+# processes the caller then waits whole scheduler slices for its helper
+# thread (a 64 x 2000 x 32 product: 0.09 ms alone, 16 ms p50 on a loaded
+# 2-CPU host), so each hashing product stays below this many.
+_SERIAL_GEMM_MACS = 2**18
 
 
-def _csr_gather(
+def csr_gather(
     members: np.ndarray, starts: np.ndarray, lengths: np.ndarray
 ) -> np.ndarray:
     """Concatenate ``members[s:s+l]`` for every (start, length) range.
@@ -62,6 +86,19 @@ def _csr_gather(
     within = np.arange(total, dtype=np.intp)
     within -= np.repeat(range_ends - lengths, lengths)
     return members[np.repeat(starts, lengths) + within]
+
+
+def sorted_unique(keys: np.ndarray) -> np.ndarray:
+    """Sorted distinct values of an integer array, flattened (``np.unique``).
+
+    One sort plus a neighbour comparison.  NumPy 2.3+ sends integer
+    ``np.unique`` through a hash table that runs ~20x slower than this
+    on the 10^3-10^5 keys the serving shortlist deduplicates.
+    """
+    keys = np.sort(keys, axis=None)
+    keep = np.ones(keys.size, dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=keep[1:])
+    return keys[keep]
 
 
 class _Table:
@@ -150,43 +187,19 @@ class _Table:
 
     # ------------------------------------------------------------------
     def keys_of_points(self, points: np.ndarray) -> np.ndarray:
-        """Bucket keys of arbitrary points (batched; one hashing pass).
+        """Bucket keys of arbitrary points under this table's hash alone.
 
-        Cast to uint64 *before* mixing: int64 * uint64 promotes to
-        float64, which cannot represent the wraparound keys the index
-        was built with (negative codes would hash to the wrong bucket).
+        The index build's path; :meth:`LSHIndex.point_bucket_hits` and
+        :meth:`LSHIndex.insert` hash every table at once and must agree
+        with it bit for bit.  Cast to uint64 *before* mixing: int64 *
+        uint64 promotes to float64, which cannot represent the
+        wraparound keys the index was built with (negative codes would
+        hash to the wrong bucket).
         """
         codes = self.family.hash_many(points).astype(np.uint64)
         with np.errstate(over="ignore"):
             return (codes * self.mixer[None, :]).sum(axis=1, dtype=np.uint64)
 
-    def key_of_point(self, point: np.ndarray) -> int:
-        """Bucket key of a single point (see :meth:`keys_of_points`)."""
-        return int(self.keys_of_points(point[None, :])[0])
-
-    def bucket_ranges(
-        self, keys: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """(starts, lengths) of the buckets keyed by *keys*.
-
-        Keys absent from the table are dropped (not errors): a perturbed
-        multi-probe key or a foreign point's key may simply hit no
-        bucket.
-        """
-        if self.unique_keys.size == 0:
-            empty = np.empty(0, dtype=np.intp)
-            return empty, empty
-        keys = np.asarray(keys, dtype=np.uint64)
-        pos = np.searchsorted(self.unique_keys, keys)
-        pos = np.minimum(pos, self.unique_keys.size - 1)
-        valid = self.unique_keys[pos] == keys
-        pos = pos[valid]
-        return self.offsets[pos], self.offsets[pos + 1] - self.offsets[pos]
-
-    def gather(self, keys: np.ndarray) -> np.ndarray:
-        """Concatenated members of every bucket keyed by *keys*."""
-        starts, lengths = self.bucket_ranges(keys)
-        return _csr_gather(self.members, starts, lengths)
 
 class LSHIndex:
     """p-stable LSH index over a fixed data matrix.
@@ -222,22 +235,64 @@ class LSHIndex:
         self.n_projections = int(n_projections)
         self.n_tables = int(n_tables)
         n, dim = self._data.shape
-        rngs = spawn_generators(seed, self.n_tables)
+        hash_state = [
+            PStableHashFamily(
+                dim, self.r, self.n_projections, seed=rng
+            ).export_arrays()
+            for rng in spawn_generators(seed, self.n_tables)
+        ]
         # Fixed seed: the mixer only fingerprints hash vectors, it carries
         # no locality information, so it need not vary with `seed`.
         mixer_rng = as_generator(np.random.SeedSequence(0xA11D))
+        mixers = np.stack(
+            [
+                mixer_rng.integers(
+                    1, 2**63 - 1, size=self.n_projections, dtype=np.uint64
+                )
+                | np.uint64(1)
+                for _ in range(self.n_tables)
+            ]
+        )
+        families = self._stack_hash_state(
+            np.concatenate([p for p, _ in hash_state]),
+            np.concatenate([o for _, o in hash_state]),
+            mixers,
+        )
+        # Each table hashes the data itself, without the int64 range
+        # check of point_bucket_hits: a journaled ingest stream builds
+        # its index here from a batch it has already recorded, and
+        # refusing that batch now would fail every later replay.
         self._tables: list[_Table] = []
-        for rng in rngs:
-            family = PStableHashFamily(dim, self.r, self.n_projections, seed=rng)
-            mixer = mixer_rng.integers(
-                1, 2**63 - 1, size=self.n_projections, dtype=np.uint64
-            ) | np.uint64(1)
-            codes = family.hash_many(self._data).astype(np.uint64)
-            with np.errstate(over="ignore"):
-                keys = (codes * mixer[None, :]).sum(axis=1, dtype=np.uint64)
-            self._tables.append(_Table(family, mixer, keys))
+        for family, mixer in zip(families, self._mixers):
+            table = _Table(family, mixer, np.empty(0, dtype=np.uint64))
+            table.merge_insert(table.keys_of_points(self._data))
+            self._tables.append(table)
         self._active = np.ones(n, dtype=bool)
         self._rebuild_combined()
+
+    def _stack_hash_state(
+        self, projections: np.ndarray, offsets: np.ndarray, mixers: np.ndarray
+    ) -> list[PStableHashFamily]:
+        """Hold every table's hash state in three stacked arrays.
+
+        *projections* is ``(l * mu, d)``, *offsets* ``(l * mu,)`` and
+        *mixers* ``(l, mu)``.  Returns one hash family per table built
+        on views into the stacks, so nothing is stored twice, while
+        :meth:`point_bucket_hits` hashes a block against every table
+        at once.
+        """
+        self._projections = projections
+        self._hash_offsets = offsets
+        self._mixers = mixers
+        mu = self.n_projections
+        return [
+            PStableHashFamily.from_arrays(
+                r=self.r,
+                projections=projections[t * mu : (t + 1) * mu],
+                offsets=offsets[t * mu : (t + 1) * mu],
+            )
+            for t in range(self.n_tables)
+        ]
 
     def _rebuild_combined(self) -> None:
         """Fuse every table's inverted list into one index-level CSR.
@@ -248,29 +303,47 @@ class LSHIndex:
         Item queries then touch no per-table Python at all — a batched
         query is one fancy-index over the map, one ``np.unique``, and
         one multi-range gather, regardless of ``n_tables``.
+
+        The item -> bucket map needs no key search: each table's stable
+        sort already laid its members out bucket by bucket, so sorted
+        position ``p`` belongs to bucket ``repeat(buckets, lengths)[p]``
+        and one scatter through ``members`` files every item.
         """
         members_parts = []
         starts_parts = []
         lengths_parts = []
-        item_bucket_rows = []
+        self._item_buckets = np.empty(
+            (self.n_tables, self._tables[0].item_keys.size), dtype=np.intp
+        )
         bucket_base = 0
         member_base = 0
-        for table in self._tables:
+        for t, table in enumerate(self._tables):
+            lengths = np.diff(table.offsets)
             starts_parts.append(table.offsets[:-1] + member_base)
-            lengths_parts.append(np.diff(table.offsets))
+            lengths_parts.append(lengths)
             members_parts.append(table.members)
-            pos = np.searchsorted(table.unique_keys, table.item_keys)
-            item_bucket_rows.append(pos + bucket_base)
-            bucket_base += table.unique_keys.size
+            self._item_buckets[t, table.members] = np.repeat(
+                np.arange(bucket_base, bucket_base + lengths.size, dtype=np.intp),
+                lengths,
+            )
+            bucket_base += lengths.size
             member_base += table.members.size
         self._g_members = np.concatenate(members_parts)
         self._g_starts = np.concatenate(starts_parts).astype(np.intp)
         self._g_lengths = np.concatenate(lengths_parts).astype(np.intp)
-        self._item_buckets = np.vstack(item_bucket_rows)
+        # Bucket keys of every table, fused the same way, so point
+        # lookups check hits in one gather.
+        self._g_keys = np.concatenate([t.unique_keys for t in self._tables])
         # First global bucket id of each table (for per-table lookups).
         self._table_bucket_base = np.concatenate(
             [[0], np.cumsum([t.unique_keys.size for t in self._tables])]
         ).astype(np.intp)
+        # Tables keep views into the fused arrays: nothing stored twice.
+        n = self._item_buckets.shape[1]
+        for t, table in enumerate(self._tables):
+            lo, hi = self._table_bucket_base[t : t + 2]
+            table.unique_keys = self._g_keys[lo:hi]
+            table.members = self._g_members[t * n : (t + 1) * n]
 
     # ------------------------------------------------------------------
     # basic properties
@@ -301,7 +374,10 @@ class LSHIndex:
         The hash families are fixed at construction, so inserted items
         land in exactly the buckets a from-scratch rebuild would put
         them in; queries before/after insertion are consistent.  New
-        items start active.
+        items start active.  The batch is hashed like a query block
+        (:meth:`point_bucket_hits`), so a row whose segment coordinates
+        leave the int64 range of hash codes refuses the whole batch
+        with :class:`ValidationError` and nothing is inserted.
 
         Cost note: each table absorbs the batch through a merge-based
         CSR update (:meth:`_Table.merge_insert`) — O(n + m log m) per
@@ -316,11 +392,14 @@ class LSHIndex:
                 f"new_data has dim {new_data.shape[1]}, "
                 f"index expects {self._data.shape[1]}"
             )
+        # Hashed before any state changes: an unhashable row refuses the
+        # whole batch and leaves the index untouched.
+        keys = self._block_keys(new_data)
         start = self._data.shape[0]
         new_indices = np.arange(start, start + new_data.shape[0], dtype=np.intp)
         self._data = np.vstack([self._data, new_data])
-        for table in self._tables:
-            table.merge_insert(table.keys_of_points(new_data))
+        for t, table in enumerate(self._tables):
+            table.merge_insert(keys[t, :, 0])
         self._active = np.concatenate(
             [self._active, np.ones(new_data.shape[0], dtype=bool)]
         )
@@ -351,7 +430,7 @@ class LSHIndex:
 
     def _gather_buckets(self, bucket_ids: np.ndarray) -> np.ndarray:
         """Concatenated members of index-level buckets (all tables)."""
-        return _csr_gather(
+        return csr_gather(
             self._g_members,
             self._g_starts[bucket_ids],
             self._g_lengths[bucket_ids],
@@ -370,19 +449,13 @@ class LSHIndex:
 
     def query_point(self, point: np.ndarray) -> np.ndarray:
         """Active items colliding with an arbitrary *point* in any table."""
-        point = np.asarray(point, dtype=np.float64)
-        if point.ndim != 1 or point.shape[0] != self._data.shape[1]:
+        point = np.asarray(point)
+        if point.ndim != 1:
             raise ValidationError(
                 f"point must be 1-D of dim {self._data.shape[1]}, "
                 f"got shape {point.shape}"
             )
-        gathered = np.concatenate(
-            [
-                t.gather(t.keys_of_points(point[None, :]))
-                for t in self._tables
-            ]
-        )
-        return self._finalize(gathered)
+        return self.query_points(point)
 
     def query_items(self, indices: np.ndarray) -> np.ndarray:
         """Deduplicated union of :meth:`query_item` over indexed items.
@@ -403,27 +476,16 @@ class LSHIndex:
             out = out[np.isin(out, indices, invert=True)]
         return out
 
-    def query_points(self, points: np.ndarray) -> np.ndarray:
+    def query_points(self, points: np.ndarray, *, probe=None) -> np.ndarray:
         """Deduplicated union of :meth:`query_point` over several points.
 
-        One hashing pass per table for the whole batch — the cheap way
-        to probe many foreign points (e.g. streaming arrivals) at once.
-        An empty batch returns an empty result.
+        One hashing pass for the whole batch (:meth:`point_bucket_hits`,
+        whose *probe* hook this forwards) — the cheap way to probe many
+        foreign points (e.g. streaming arrivals) at once.  An empty
+        batch returns an empty result.
         """
-        points = np.atleast_2d(np.asarray(points, dtype=np.float64))
-        if points.shape[0] == 0:
-            return np.empty(0, dtype=np.intp)
-        points = check_data_matrix(points, name="points")
-        if points.shape[1] != self._data.shape[1]:
-            raise ValidationError(
-                f"points have dim {points.shape[1]}, "
-                f"index expects {self._data.shape[1]}"
-            )
-        parts = []
-        for table in self._tables:
-            keys = np.unique(table.keys_of_points(points))
-            parts.append(table.gather(keys))
-        return self._finalize(np.concatenate(parts))
+        _, bucket_ids = self.point_bucket_hits(points, probe=probe)
+        return self._finalize(self._gather_buckets(sorted_unique(bucket_ids)))
 
     def query_items_grouped(
         self, groups: list[np.ndarray]
@@ -508,7 +570,7 @@ class LSHIndex:
         bucket_ids = (pair_keys % n_buckets).astype(np.intp)
         pair_gids = pair_keys // n_buckets
         lengths = self._g_lengths[bucket_ids]
-        members = _csr_gather(
+        members = csr_gather(
             self._g_members, self._g_starts[bucket_ids], lengths
         )
         # Unique (group, item) pairs: dedup within each group only.
@@ -530,20 +592,145 @@ class LSHIndex:
                 results[gid] = items[lo:hi]
         return results
 
-    def query_points_grouped(self, points: np.ndarray) -> list[np.ndarray]:
+    def point_bucket_hits(
+        self, points: np.ndarray, *, probe=None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The fused buckets a block of foreign points hits, per point.
+
+        The block is hashed against all tables at once over the stacked
+        projections, in chunks of at most :data:`HASH_CHUNK_ROWS` rows,
+        then each table looks the whole block up with one binary
+        search.  Keys equal :meth:`_Table.keys_of_points` bit for bit.
+
+        Parameters
+        ----------
+        points:
+            Query block of shape ``(q, d)``; a ``(d,)`` vector is one
+            point.
+        probe:
+            Optional multi-probe hook ``probe(fractions, base_keys,
+            mixers) -> keys`` over ``m`` (point, table) rows: fractional
+            segment coordinates ``(m, mu)``, own bucket keys ``(m,)`` and
+            key mixers ``(m, mu)`` in, ``(m, k)`` keys to look up out
+            (:meth:`repro.lsh.multiprobe.MultiProbeQuerier.probe_keys`).
+
+        Returns
+        -------
+        tuple of numpy.ndarray
+            ``(query_ids, bucket_ids)``, one entry per key found: point
+            rows and fused bucket ids (those of ``_item_buckets``).
+            Plain hits are unique; probes may repeat a bucket.  The
+            active mask is not applied.
+
+        Raises
+        ------
+        ValidationError
+            For a malformed block, or a finite point whose segment
+            coordinates leave the int64 range of hash codes.
+        """
+        points = check_query_block(
+            points, dim=self._data.shape[1], name="points"
+        )
+        keys = self._block_keys(points, probe)
+        l, q, k = keys.shape
+        keys = keys.reshape(l, q * k)
+        pos = np.empty(keys.shape, dtype=np.intp)
+        for t, table in enumerate(self._tables):
+            pos[t] = table.unique_keys.searchsorted(keys[t])
+        # A key above a table's largest bucket key lands one past its
+        # end; clamped to the last bucket it simply fails the match.
+        bucket_base = self._table_bucket_base
+        np.minimum(pos, np.diff(bucket_base)[:, None] - 1, out=pos)
+        pos += bucket_base[:-1, None]
+        hit = self._g_keys[pos] == keys
+        return np.nonzero(hit)[1] // k, pos[hit]
+
+    def check_hashable(self, points: np.ndarray) -> np.ndarray:
+        """Validate a block as :meth:`point_bucket_hits` would; return it.
+
+        For callers that must refuse exactly what hashing refuses
+        without looking anything up: the exhaustive serving mode, and
+        ingest before it journals a batch it will :meth:`insert`.
+
+        Raises
+        ------
+        ValidationError
+            For a malformed block, or a finite point whose segment
+            coordinates leave the int64 range of hash codes.
+        """
+        points = check_query_block(
+            points, dim=self._data.shape[1], name="points"
+        )
+        self._block_keys(points)
+        return points
+
+    def _block_keys(self, points: np.ndarray, probe=None) -> np.ndarray:
+        """``(l, q, k)`` bucket keys of a validated block, hashed in chunks."""
+        chunks = [
+            self._chunk_keys(points[lo : lo + HASH_CHUNK_ROWS], probe)
+            for lo in range(0, points.shape[0], HASH_CHUNK_ROWS)
+        ]
+        if not chunks:
+            return np.empty((self.n_tables, 0, 1), dtype=np.uint64)
+        return np.concatenate(chunks).transpose(1, 0, 2)
+
+    def _chunk_keys(self, chunk: np.ndarray, probe) -> np.ndarray:
+        """``(c, l, k)`` keys of a validated chunk (see point_bucket_hits)."""
+        c, dim = chunk.shape
+        # PStableHashFamily.project for every table at once, in place,
+        # in column blocks small enough to run on the calling thread.
+        coords = np.empty((c, self._projections.shape[0]))
+        step = max(1, _SERIAL_GEMM_MACS // (c * dim))
+        for lo in range(0, coords.shape[1], step):
+            np.matmul(
+                chunk,
+                self._projections[lo : lo + step].T,
+                out=coords[:, lo : lo + step],
+            )
+        coords += self._hash_offsets
+        coords /= self.r
+        # floor(x) fits int64 exactly when x lies in [-2**63, 2**63).
+        # NaN fails both comparisons; casting an out-of-range float is
+        # undefined, so such a point is rejected, not hashed.
+        if not (coords.min() >= -_INT64_SPAN and coords.max() < _INT64_SPAN):
+            raise ValidationError(
+                "points project outside the int64 range of hash codes "
+                "(coordinates too large to hash)"
+            )
+        codes = np.floor(coords, out=coords if probe is None else None)
+        # int64 -> uint64 reinterpretation is the wraparound cast
+        # keys_of_points makes; the uint64 sum of products wraps too.
+        ints = codes.astype(np.int64).view(np.uint64)
+        ints = ints.reshape(c, self.n_tables, self.n_projections)
+        keys = np.einsum("ctm,tm->ct", ints, self._mixers)
+        if probe is None:
+            return keys[:, :, None]
+        m = c * self.n_tables
+        fractions = (coords - codes).reshape(m, self.n_projections)
+        mixers = np.broadcast_to(self._mixers, (c,) + self._mixers.shape)
+        probed = probe(
+            fractions, keys.reshape(m), mixers.reshape(m, self.n_projections)
+        )
+        return probed.reshape(c, self.n_tables, -1)
+
+    def query_points_grouped(
+        self, points: np.ndarray, *, probe=None
+    ) -> list[np.ndarray]:
         """Run :meth:`query_point` for a batch of points in one fused pass.
 
-        The serve-time retrieval pattern: a block of arriving queries is
-        hashed once per table, every hit bucket of every query is
+        The foreign-point twin of :meth:`query_items_grouped`: a block
+        of points is hashed once (:meth:`point_bucket_hits`, whose
+        *probe* hook this forwards), every hit bucket of every point is
         gathered together from the fused CSR, and candidates are
-        deduplicated *per query* with a single ``np.unique`` over
-        ``query_id * n + item`` keys — the foreign-point twin of
-        :meth:`query_items_grouped`.
+        deduplicated *per point* with a single ``np.unique`` over
+        ``point_id * n + item`` keys.
 
         Parameters
         ----------
         points:
             Query block of shape ``(q, d)``.
+        probe:
+            Optional multi-probe expansion (see :meth:`point_bucket_hits`).
 
         Returns
         -------
@@ -551,39 +738,55 @@ class LSHIndex:
             ``out[i]`` is exactly ``self.query_point(points[i])``:
             sorted, deduplicated, active-only.
         """
-        points = np.atleast_2d(np.asarray(points, dtype=np.float64))
-        if points.shape[0] == 0:
-            return []
-        points = check_data_matrix(points, name="points")
-        if points.shape[1] != self._data.shape[1]:
+        points = check_query_block(
+            points, dim=self._data.shape[1], name="points"
+        )
+        query_ids, bucket_ids = self.point_bucket_hits(points, probe=probe)
+        # Distinct probes can land in the same bucket, so the (point,
+        # bucket) pairs are deduplicated.
+        pair_keys = sorted_unique(query_ids * self._g_lengths.size + bucket_ids)
+        return self._resolve_grouped_pairs(pair_keys, points.shape[0])
+
+    def bucket_owners(
+        self, item_owner: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """CSR from every fused bucket to the distinct owners of its members.
+
+        The serve-time shortlist only needs the *owner* of a colliding
+        item (its dominant cluster, paper §4.6 / Theorem 1), so this
+        table turns a hit from :meth:`point_bucket_hits` straight into
+        owners.  One sort of the m owned items' O(m * l) (bucket, owner)
+        pairs; the active mask is not applied.
+
+        Parameters
+        ----------
+        item_owner:
+            ``(n,)`` integer owner id of every item, ``-1`` for an item
+            without one.
+
+        Returns
+        -------
+        tuple of numpy.ndarray
+            ``(offsets, owners)``, both ``int32``: the owners of fused
+            bucket ``b`` are ``owners[offsets[b]:offsets[b + 1]]``,
+            ascending.
+        """
+        item_owner = np.asarray(item_owner)
+        if item_owner.shape != (self.n,):
             raise ValidationError(
-                f"points have dim {points.shape[1]}, "
-                f"index expects {self._data.shape[1]}"
+                f"item_owner shape {item_owner.shape} != ({self.n},)"
             )
-        q = points.shape[0]
-        results: list[np.ndarray] = [
-            np.empty(0, dtype=np.intp) for _ in range(q)
-        ]
         n_buckets = int(self._g_lengths.size)
-        if n_buckets == 0:
-            return results
-        pair_parts: list[np.ndarray] = []
-        for t_id, table in enumerate(self._tables):
-            if table.unique_keys.size == 0:
-                continue
-            keys = table.keys_of_points(points)
-            pos = np.searchsorted(table.unique_keys, keys)
-            pos = np.minimum(pos, table.unique_keys.size - 1)
-            valid = table.unique_keys[pos] == keys
-            qids = np.flatnonzero(valid).astype(np.int64)
-            bucket_ids = pos[valid] + self._table_bucket_base[t_id]
-            pair_parts.append(qids * n_buckets + bucket_ids.astype(np.int64))
-        if not pair_parts:
-            return results
-        # Global bucket ids are unique across tables, so (query, bucket)
-        # pairs need no dedup — but sorting them keys the final split.
-        pair_keys = np.sort(np.concatenate(pair_parts))
-        return self._resolve_grouped_pairs(pair_keys, q)
+        owned = np.flatnonzero(item_owner >= 0)
+        span = int(item_owner[owned].max()) + 1 if owned.size else 1
+        pairs = self._item_buckets[:, owned].astype(np.int64)
+        pairs *= span
+        pairs += item_owner[owned]
+        keys = sorted_unique(pairs)
+        width = np.int32 if keys.size < 2**31 else np.int64
+        offsets = np.zeros(n_buckets + 1, dtype=width)
+        np.cumsum(np.bincount(keys // span, minlength=n_buckets), out=offsets[1:])
+        return offsets, (keys % span).astype(np.int32)
 
     # ------------------------------------------------------------------
     # persistence (detection snapshots, repro.serve)
@@ -605,12 +808,12 @@ class LSHIndex:
             mu)``, ``mixers`` ``(l, mu)``, ``item_keys`` ``(l, n)``,
             ``active`` ``(n,)`` — all copies, safe to persist.
         """
-        family_arrays = [t.family.export_arrays() for t in self._tables]
+        l, mu = self._mixers.shape
         return {
-            "projections": np.stack([p for p, _ in family_arrays]),
-            "hash_offsets": np.stack([o for _, o in family_arrays]),
-            "mixers": np.stack([t.mixer.copy() for t in self._tables]),
-            "item_keys": np.stack([t.item_keys.copy() for t in self._tables]),
+            "projections": self._projections.reshape(l, mu, -1).copy(),
+            "hash_offsets": self._hash_offsets.reshape(l, mu).copy(),
+            "mixers": self._mixers.copy(),
+            "item_keys": np.stack([t.item_keys for t in self._tables]),
             "active": self._active.copy(),
         }
 
@@ -691,20 +894,15 @@ class LSHIndex:
         self.r = float(r)
         self.n_projections = int(mu)
         self.n_tables = int(l)
-        self._tables = []
-        for t in range(l):
-            family = PStableHashFamily.from_arrays(
-                r=self.r,
-                projections=projections[t],
-                offsets=hash_offsets[t],
-            )
-            self._tables.append(
-                _Table(
-                    family,
-                    np.ascontiguousarray(mixers[t], dtype=np.uint64),
-                    np.ascontiguousarray(item_keys[t]),
-                )
-            )
+        families = self._stack_hash_state(
+            np.ascontiguousarray(projections).reshape(l * mu, dim),
+            np.ascontiguousarray(hash_offsets).reshape(l * mu),
+            np.ascontiguousarray(mixers, dtype=np.uint64),
+        )
+        self._tables = [
+            _Table(family, mixer, np.ascontiguousarray(item_keys[t]))
+            for t, (family, mixer) in enumerate(zip(families, self._mixers))
+        ]
         self._active = np.array(active, dtype=bool)
         self._rebuild_combined()
         return self

@@ -31,8 +31,11 @@ hoistable: :func:`probe_candidate_sets` precomputes, once per
 among the ``n_probes`` cheapest valid sets for *any* score vector (the
 sets whose dominance ideal holds fewer than ``n_probes`` valid sets),
 and each query then just scores those candidates against its own sorted
-coordinates — a few vectorized gathers per (batch, table) instead of a
-Python heap per (query, table).  The per-query result is identical to
+coordinates — a few vectorized gathers per block of (query, table)
+rows instead of a Python heap per (query, table).  Probing rides on
+:meth:`~repro.lsh.index.LSHIndex.point_bucket_hits`, which hashes the
+block against all tables at once and hands the coordinates to
+:meth:`MultiProbeQuerier.probe_keys`.  The per-query result is identical to
 the heap enumeration except under exactly-tied perturbation scores
 (coordinates whose fractional parts coincide bit-for-bit — probability
 zero for real-valued projections), where the adjacent-bucket tie may
@@ -283,118 +286,84 @@ class MultiProbeQuerier:
             self._plan = plan
         return plan
 
-    def _probe_keys_with_ids(
-        self, table, points: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Probe keys for a batch of points against one table, with owners.
+    def probe_keys(
+        self, fractions: np.ndarray, base_keys: np.ndarray, mixers: np.ndarray
+    ) -> np.ndarray:
+        """Own and perturbed bucket keys of ``m`` (point, table) rows.
 
-        One projection pass hashes the whole batch; the perturbed keys
-        of every point are derived incrementally from its base key
-        (``key ± mixer_j`` per perturbed coordinate), with the
-        perturbation sets picked by scoring the precomputed candidate
-        family against each query's sorted coordinates (see the module
-        docstring) — no per-query Python enumeration.  Returns the flat
-        uint64 key array of all probes of all points plus the aligned
-        point-row index of every probe (which query each key belongs
-        to — what the grouped serve-time shortlist needs).
+        The ``probe`` hook of
+        :meth:`repro.lsh.index.LSHIndex.point_bucket_hits`, which passes
+        the fractional parts ``(m, mu)`` of each row's segment
+        coordinates, the row's own bucket key ``(m,)`` and its table's
+        key mixers ``(m, mu)``.  Perturbed keys are derived
+        incrementally from the own key (``key ± mixer_j`` per perturbed
+        coordinate), with the perturbation sets picked by scoring the
+        precomputed candidate family against each row's sorted
+        coordinates (see the module docstring) — no per-row Python
+        enumeration.  Returns ``(m, 1 + n_probes)`` keys, the own key
+        first; a row with fewer valid perturbation sets repeats its own
+        key in the spare columns.
         """
-        coords = table.family.project(points)
-        codes = np.floor(coords)
-        fractions = coords - codes
-        with np.errstate(over="ignore"):
-            base_keys = (codes.astype(np.int64).astype(np.uint64)
-                         * table.mixer[None, :]).sum(axis=1, dtype=np.uint64)
-        q, mu = fractions.shape
+        m, mu = fractions.shape
         plan = self._probe_plan(mu)
         if plan is None:
-            return self._probe_keys_heap(table, fractions, base_keys)
+            return self._probe_keys_heap(fractions, base_keys, mixers)
         if plan.n_candidates == 0:
-            return (
-                base_keys.copy(),
-                np.arange(q, dtype=np.int64),
-            )
-        # Per-query scores of all 2 mu single perturbations: columns
+            return base_keys[:, None].copy()
+        # Per-row scores of all 2 mu single perturbations: columns
         # [0, mu) are delta = -1 (cost x^2), [mu, 2 mu) are delta = +1.
         scores = np.concatenate([fractions**2, (1.0 - fractions) ** 2], axis=1)
         order = np.argsort(scores, axis=1, kind="stable")
         ranked = np.take_along_axis(scores, order, axis=1)
-        ranked = np.concatenate([ranked, np.zeros((q, 1))], axis=1)
+        ranked = np.concatenate([ranked, np.zeros((m, 1))], axis=1)
         costs = ranked[:, plan.positions].sum(axis=2)
         take = min(plan.n_probes, plan.n_candidates)
         chosen = np.argsort(costs, axis=1, kind="stable")[:, :take]
         # Signed key offsets aligned with the score columns, plus the
         # zero pad slot; gathering through `order` puts them in each
-        # query's sorted-position space.
-        mixers = table.mixer.astype(np.uint64)
+        # row's sorted-position space.
         signed = np.concatenate(
-            [np.uint64(0) - mixers, mixers, np.zeros(1, dtype=np.uint64)]
+            [np.uint64(0) - mixers, mixers, np.zeros((m, 1), dtype=np.uint64)],
+            axis=1,
         )
-        pad = np.full((q, 1), 2 * mu, dtype=order.dtype)
-        offsets = signed[np.concatenate([order, pad], axis=1)]
+        pad = np.full((m, 1), 2 * mu, dtype=order.dtype)
+        offsets = np.take_along_axis(
+            signed, np.concatenate([order, pad], axis=1), axis=1
+        )
         candidate_offsets = offsets[:, plan.positions].sum(
             axis=2, dtype=np.uint64
         )
         picked = np.take_along_axis(candidate_offsets, chosen, axis=1)
         with np.errstate(over="ignore"):
             keys = base_keys[:, None] + picked
-        keys = np.concatenate([base_keys[:, None], keys], axis=1)
-        owners = np.repeat(
-            np.arange(q, dtype=np.int64), keys.shape[1]
-        )
-        return keys.ravel(), owners
+        return np.concatenate([base_keys[:, None], keys], axis=1)
 
     def _probe_keys_heap(
-        self, table, fractions: np.ndarray, base_keys: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Exact per-query heap enumeration (n_probes above the cap)."""
-        mixers = table.mixer.astype(np.uint64)
-        keys: list[int] = []
-        owners: list[int] = []
+        self, fractions: np.ndarray, base_keys: np.ndarray, mixers: np.ndarray
+    ) -> np.ndarray:
+        """Exact per-row heap enumeration (n_probes above the cap)."""
+        keys = np.repeat(base_keys[:, None], 1 + self.n_probes, axis=1)
         with np.errstate(over="ignore"):
             for row in range(fractions.shape[0]):
-                base = base_keys[row]
-                keys.append(int(base))
-                owners.append(row)
-                for perturbations in perturbation_sets(
-                    fractions[row], self.n_probes
-                ):
-                    key = base
+                sets = perturbation_sets(fractions[row], self.n_probes)
+                for col, perturbations in enumerate(sets, start=1):
+                    key = base_keys[row]
                     for coordinate, delta in perturbations:
                         if delta > 0:
-                            key = key + mixers[coordinate]
+                            key = key + mixers[row, coordinate]
                         else:
-                            key = key - mixers[coordinate]
-                    keys.append(int(key))
-                    owners.append(row)
-        return (
-            np.asarray(keys, dtype=np.uint64),
-            np.asarray(owners, dtype=np.int64),
-        )
-
-    def _probe_keys_batch(self, table, points: np.ndarray) -> np.ndarray:
-        """Flat probe keys of all points (see :meth:`_probe_keys_with_ids`)."""
-        return self._probe_keys_with_ids(table, points)[0]
+                            key = key - mixers[row, coordinate]
+                    keys[row, col] = key
+        return keys
 
     def query_points(self, points: np.ndarray) -> np.ndarray:
         """Active items found in the probed buckets over a point batch.
 
         The batched counterpart of :meth:`query_point`: one hashing pass
-        per table covers every point, and the per-table bucket gathers
-        are deduplicated once at the end.
+        covers every point and table, and the probed buckets are
+        deduplicated once before their members are gathered.
         """
-        points = np.atleast_2d(np.asarray(points, dtype=np.float64))
-        if points.ndim != 2 or points.shape[1] != self.index._data.shape[1]:
-            raise ValidationError(
-                f"points must be 2-D of dim {self.index._data.shape[1]}, "
-                f"got shape {points.shape}"
-            )
-        if points.shape[0] == 0:
-            return np.empty(0, dtype=np.intp)
-        parts = []
-        for table in self.index._tables:
-            keys = np.unique(self._probe_keys_batch(table, points))
-            parts.append(table.gather(keys))
-        return self.index._finalize(np.concatenate(parts))
+        return self.index.query_points(points, probe=self.probe_keys)
 
     def query_points_grouped(self, points: np.ndarray) -> list[np.ndarray]:
         """Run :meth:`query_point` for a batch of points in one fused pass.
@@ -404,10 +373,9 @@ class MultiProbeQuerier:
         point's own bucket *and* its ``n_probes`` perturbed buckets are
         gathered per table, then candidates are deduplicated *per point*
         with a single ``np.unique`` over ``point_id * n + item`` keys.
-        This is the retrieval behind the serve-time
-        ``shortlist="multiprobe"`` mode — the extra probes recover
-        borderline queries whose near neighbours fell just across a
-        segment boundary and therefore miss the plain LSH shortlist.
+        The extra probes recover borderline queries whose near
+        neighbours fell just across a segment boundary and therefore
+        miss the plain LSH shortlist.
 
         Parameters
         ----------
@@ -420,50 +388,17 @@ class MultiProbeQuerier:
             ``out[i]`` is exactly ``self.query_point(points[i])``:
             sorted, deduplicated, active-only.
         """
-        points = np.atleast_2d(np.asarray(points, dtype=np.float64))
-        if points.ndim != 2 or points.shape[1] != self.index._data.shape[1]:
-            raise ValidationError(
-                f"points must be 2-D of dim {self.index._data.shape[1]}, "
-                f"got shape {points.shape}"
-            )
-        q = points.shape[0]
-        results: list[np.ndarray] = [
-            np.empty(0, dtype=np.intp) for _ in range(q)
-        ]
-        if q == 0:
-            return results
-        n_buckets = int(self.index._g_lengths.size)
-        if n_buckets == 0:
-            return results
-        pair_parts: list[np.ndarray] = []
-        for t_id, table in enumerate(self.index._tables):
-            if table.unique_keys.size == 0:
-                continue
-            keys, owners = self._probe_keys_with_ids(table, points)
-            pos = np.searchsorted(table.unique_keys, keys)
-            pos = np.minimum(pos, table.unique_keys.size - 1)
-            valid = table.unique_keys[pos] == keys
-            bucket_ids = pos[valid] + self.index._table_bucket_base[t_id]
-            pair_parts.append(
-                owners[valid] * n_buckets + bucket_ids.astype(np.int64)
-            )
-        if not pair_parts:
-            return results
-        # Distinct perturbations can land in the same bucket (mixer sums
-        # may coincide), so (point, bucket) pairs are deduplicated here —
-        # unlike the plain grouped query, where they are unique for free.
-        pair_keys = np.unique(np.concatenate(pair_parts))
-        return self.index._resolve_grouped_pairs(pair_keys, q)
+        return self.index.query_points_grouped(points, probe=self.probe_keys)
 
     def query_point(self, point: np.ndarray) -> np.ndarray:
         """Active items found in the probed buckets of every table."""
-        point = np.asarray(point, dtype=np.float64)
-        if point.ndim != 1 or point.shape[0] != self.index._data.shape[1]:
+        point = np.asarray(point)
+        if point.ndim != 1:
             raise ValidationError(
                 f"point must be 1-D of dim {self.index._data.shape[1]}, "
                 f"got shape {point.shape}"
             )
-        return self.query_points(point[None, :])
+        return self.query_points(point)
 
     def query_item(self, i: int) -> np.ndarray:
         """Multi-probe lookup for an indexed item (excludes *i* itself)."""

@@ -13,10 +13,10 @@ package is that separation made concrete for the reproduction:
   corruption); ``mmap=True`` serves multi-GB artifacts without a full
   copy.
 * :mod:`repro.serve.assigner` — :class:`ClusterAssigner`, vectorized
-  batch assignment: hash a query block into the restored LSH tables
-  with one grouped gather (optionally multi-probed,
-  ``shortlist="multiprobe"``), shortlist candidate clusters by
-  collision ownership, score with the shared Theorem 1 infectivity
+  batch assignment: hash a query block against every restored LSH
+  table at once (optionally multi-probed, ``shortlist="multiprobe"``),
+  shortlist candidate clusters through a bucket -> cluster owner
+  table, score with the shared Theorem 1 infectivity
   criterion (:mod:`repro.core.infectivity`), all through the
   instrumented oracle.
 * :mod:`repro.serve.service` — :class:`ClusterService`, the

@@ -4,17 +4,19 @@ Given a loaded :class:`~repro.serve.snapshot.DetectionSnapshot`, the
 assigner answers "which dominant cluster does this query belong to?" for
 whole ``(q, d)`` query blocks at once:
 
-1. **Hash** — the block is hashed into the restored LSH tables with one
-   grouped gather
-   (:meth:`repro.lsh.index.LSHIndex.query_points_grouped`), the
-   foreign-point twin of the CIVS multi-query pattern.
-2. **Shortlist** — colliding items are mapped to their owning clusters
-   (densest-wins on overlap, the reducer rule of
+1. **Hash** — the block is hashed against every restored LSH table at
+   once (:meth:`repro.lsh.index.LSHIndex.point_bucket_hits`), yielding
+   the (query, bucket) hits.
+2. **Shortlist** — each hit bucket maps to the clusters that own its
+   members through a bucket -> cluster *owner table* built once per
+   snapshot (:meth:`repro.lsh.index.LSHIndex.bucket_owners`; item
+   ownership is densest-wins on overlap, the reducer rule of
    :meth:`repro.core.results.DetectionResult.labels`), yielding the
-   candidate clusters each query could plausibly join.  Queries whose
-   collisions hit only noise items shortlist nothing and are noise by
-   construction — the serve-time analogue of the peeling driver's noise
-   pre-filter.
+   candidate clusters each query could plausibly join.  Theorem 1 only
+   ever reads a colliding item's owning cluster (paper §4.6), so the
+   items themselves are never gathered.  Queries whose collisions hit
+   only noise items shortlist nothing and are noise by construction —
+   the serve-time analogue of the peeling driver's noise pre-filter.
 3. **Score** — every (query, candidate cluster) pair is scored with the
    Theorem 1 infectivity criterion
    (:func:`repro.core.infectivity.point_payoffs`): the payoff margin
@@ -37,8 +39,10 @@ import numpy as np
 
 from repro.core.infectivity import infective_mask, point_payoffs
 from repro.exceptions import ValidationError
+from repro.lsh.index import csr_gather, sorted_unique
 from repro.lsh.multiprobe import MultiProbeQuerier
 from repro.serve.snapshot import DetectionSnapshot
+from repro.utils.validation import check_query_block
 
 __all__ = ["Assignment", "ClusterAssigner", "SHORTLIST_MODES"]
 
@@ -107,7 +111,10 @@ class ClusterAssigner:
     The restored index is fully reactivated: at fit end every item is
     peeled, but serving must see all items so query collisions reach
     cluster members.  Collisions with noise items simply map to no
-    cluster.  Per-batch work is returned race-free on each
+    cluster.  The bucket -> cluster owner table costs O(m * l) to build
+    for m clustered items and l tables, and holds one ``int32`` offset
+    per fused bucket plus one ``int32`` row per (bucket, owning
+    cluster) pair.  Per-batch work is returned race-free on each
     :class:`Assignment`; :class:`~repro.serve.service.ClusterService`
     accumulates those into its lifetime totals.
     """
@@ -131,6 +138,9 @@ class ClusterAssigner:
         self._item_owner = np.full(n, -1, dtype=np.int64)
         for row in reversed(self._rows_densest_first):
             self._item_owner[self.clusters[row].members] = row
+        self._owner_offsets, self._owner_rows = self.index.bucket_owners(
+            self._item_owner
+        )
 
     @property
     def n_clusters(self) -> int:
@@ -143,23 +153,13 @@ class ClusterAssigner:
     ) -> tuple[np.ndarray, np.ndarray]:
         """(query_ids, cluster_rows) pairs worth scoring, deduplicated."""
         k = len(self.clusters)
-        if shortlist == "multiprobe":
-            candidate_lists = self.multiprobe.query_points_grouped(queries)
-        else:
-            candidate_lists = self.index.query_points_grouped(queries)
-        lengths = np.asarray([c.size for c in candidate_lists], dtype=np.intp)
-        if lengths.sum() == 0:
-            empty = np.empty(0, dtype=np.int64)
-            return empty, empty
-        qids = np.repeat(np.arange(len(candidate_lists)), lengths)
-        items = np.concatenate(candidate_lists)
-        rows = self._item_owner[items]
-        keep = rows >= 0
-        if not keep.any():
-            empty = np.empty(0, dtype=np.int64)
-            return empty, empty
-        pair_keys = np.unique(qids[keep].astype(np.int64) * k + rows[keep])
-        return pair_keys // k, (pair_keys % k).astype(np.int64)
+        probe = self.multiprobe.probe_keys if shortlist == "multiprobe" else None
+        qids, buckets = self.index.point_bucket_hits(queries, probe=probe)
+        starts = self._owner_offsets[buckets]
+        lengths = self._owner_offsets[buckets + 1] - starts
+        rows = csr_gather(self._owner_rows, starts, lengths)
+        pair_keys = sorted_unique(np.repeat(qids, lengths) * k + rows)
+        return pair_keys // k, pair_keys % k
 
     def assign(
         self, queries: np.ndarray, *, shortlist: str = "lsh"
@@ -189,23 +189,23 @@ class ClusterAssigner:
         Assignment
             Per-query labels, scores, shortlist sizes, and the batch's
             serve-side work accounting.
+
+        Raises
+        ------
+        ValidationError
+            For a malformed block, or one with a point too large to
+            hash (:meth:`repro.lsh.index.LSHIndex.check_hashable`), in
+            every mode.
         """
         if shortlist not in SHORTLIST_MODES:
             raise ValidationError(
                 f"shortlist must be one of {SHORTLIST_MODES}, "
                 f"got {shortlist!r}"
             )
-        queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
-        if queries.ndim != 2 or queries.shape[1] != self.snapshot.dim:
-            raise ValidationError(
-                f"queries must be (q, {self.snapshot.dim}), "
-                f"got shape {queries.shape}"
-            )
         # Validate here, before the modes branch: the exhaustive mode
         # never touches the index (whose own validation would catch
         # this), and NaN payoffs would silently read as noise.
-        if not np.all(np.isfinite(queries)):
-            raise ValidationError("queries contain NaN or infinite values")
+        queries = check_query_block(queries, dim=self.snapshot.dim)
         q = queries.shape[0]
         k = len(self.clusters)
         # Accounted locally (not as a shared-counter delta) so
@@ -214,42 +214,43 @@ class ClusterAssigner:
         best_score = np.full(q, -np.inf)
         best_row = np.full(q, -1, dtype=np.int64)
         n_candidates = np.zeros(q, dtype=np.int64)
-        if q > 0 and k > 0:
-            if shortlist == "all":
-                pair_qids = np.tile(np.arange(q, dtype=np.int64), k)
-                pair_rows = np.repeat(np.arange(k, dtype=np.int64), q)
-            else:
-                pair_qids, pair_rows = self._shortlist_pairs(
-                    queries, shortlist
-                )
-            # Group pairs by cluster row once (sort + boundary split)
-            # instead of one full boolean scan per cluster.
-            order = np.argsort(pair_rows, kind="stable")
-            pair_qids = pair_qids[order]
-            pair_rows = pair_rows[order]
-            row_bounds = np.searchsorted(
-                pair_rows, np.arange(k + 1, dtype=np.int64)
+        # Every mode hashes (or range-checks) the block, even against a
+        # snapshot without clusters, so all modes refuse the same
+        # blocks: those too large to hash.
+        if shortlist == "all":
+            self.index.check_hashable(queries)
+            pair_qids = np.tile(np.arange(q, dtype=np.int64), k)
+            pair_rows = np.repeat(np.arange(k, dtype=np.int64), q)
+        else:
+            pair_qids, pair_rows = self._shortlist_pairs(queries, shortlist)
+        # Group pairs by cluster row once (sort + boundary split)
+        # instead of one full boolean scan per cluster.
+        order = np.argsort(pair_rows, kind="stable")
+        pair_qids = pair_qids[order]
+        pair_rows = pair_rows[order]
+        row_bounds = np.searchsorted(
+            pair_rows, np.arange(k + 1, dtype=np.int64)
+        )
+        for row in self._rows_densest_first:
+            lo, hi = int(row_bounds[row]), int(row_bounds[row + 1])
+            if hi == lo:
+                continue
+            qk = pair_qids[lo:hi]
+            n_candidates[qk] += 1
+            cluster = self.clusters[row]
+            pay = point_payoffs(
+                self.oracle,
+                queries[qk],
+                cluster.members,
+                cluster.weights,
+                cluster.density,
             )
-            for row in self._rows_densest_first:
-                lo, hi = int(row_bounds[row]), int(row_bounds[row + 1])
-                if hi == lo:
-                    continue
-                qk = pair_qids[lo:hi]
-                n_candidates[qk] += 1
-                cluster = self.clusters[row]
-                pay = point_payoffs(
-                    self.oracle,
-                    queries[qk],
-                    cluster.members,
-                    cluster.weights,
-                    cluster.density,
-                )
-                batch_entries += int(qk.size) * int(cluster.members.size)
-                # Strict > keeps the densest cluster on exact ties.
-                better = pay > best_score[qk]
-                upd = qk[better]
-                best_score[upd] = pay[better]
-                best_row[upd] = row
+            batch_entries += int(qk.size) * int(cluster.members.size)
+            # Strict > keeps the densest cluster on exact ties.
+            better = pay > best_score[qk]
+            upd = qk[better]
+            best_score[upd] = pay[better]
+            best_row[upd] = row
         infective = infective_mask(best_score, self.config.tol)
         labels = np.full(q, -1, dtype=np.int64)
         hit = infective & (best_row >= 0)

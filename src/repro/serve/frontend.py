@@ -45,6 +45,7 @@ from ..obs.metrics import (
     render_merged,
 )
 from ..obs.trace import TID_BATCH, TID_REQUEST
+from ..utils.validation import check_query_block
 from .admission import AdmissionController
 from .assigner import SHORTLIST_MODES
 
@@ -304,14 +305,7 @@ class AsyncFrontend:
         backing handle when serving fails.
         """
         self._ensure_started()
-        block = np.ascontiguousarray(
-            np.atleast_2d(np.asarray(queries, dtype=np.float64))
-        )
-        if block.ndim != 2 or block.shape[0] < 1:
-            raise ValidationError(
-                f"queries must be a non-empty 2-D array, got shape "
-                f"{block.shape}"
-            )
+        block = check_query_block(queries, allow_empty=False)
         loop = self._loop
         assert loop is not None
         with self._stats_lock:
@@ -349,7 +343,27 @@ class AsyncFrontend:
                 return
 
     async def _run_batch(self, items: Sequence[_Pending]) -> None:
-        """Execute one micro-batch and deliver per-request slices."""
+        """Execute one drained micro-batch, one handle call per query width.
+
+        Blocks of different widths cannot share one array.  Serving each
+        width on its own lets the handle reject a wrong-width request by
+        itself, where a failed concatenation would kill the dispatcher
+        and strand every queued request.
+        """
+        by_width: dict[int, list[_Pending]] = {}
+        for item in items:
+            by_width.setdefault(int(item.queries.shape[1]), []).append(item)
+        for group in by_width.values():
+            await self._serve_group(group)
+
+    async def _serve_group(self, items: Sequence[_Pending]) -> None:
+        """Execute one equal-width micro-batch; deliver per-request slices.
+
+        A handle that refuses a co-batched block as invalid (for
+        example a point too large to hash) cannot say which request
+        was at fault, so each request is then served on its own and
+        only the offending one fails.
+        """
         loop = self._loop
         assert loop is not None and self._pool is not None
         blocks = [item.queries for item in items]
@@ -362,6 +376,10 @@ class AsyncFrontend:
                 partial(self._handle.assign, big, shortlist=self._shortlist),
             )
         except Exception as exc:
+            if isinstance(exc, ValidationError) and len(items) > 1:
+                for item in items:
+                    await self._serve_group([item])
+                return
             t_done = loop.time()
             self._m_failed.inc(len(items))
             tracer = self.tracer

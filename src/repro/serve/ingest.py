@@ -77,7 +77,7 @@ from repro.serve.snapshot import (
 from repro.serve.wal import WALRecord, WriteAheadLog
 from repro.streaming.online import StreamingALID
 from repro.utils.timing import timed
-from repro.utils.validation import check_data_matrix, check_index_array
+from repro.utils.validation import check_index_array
 
 __all__ = ["IngestReport", "IngestService", "REPEEL_MODES"]
 
@@ -333,12 +333,7 @@ class IngestService:
                 stream = self._stream
                 # Validate before journaling: a record that would blow
                 # up the stream would poison every future replay.
-                points = check_data_matrix(points, name="points")
-                if stream.n_items and points.shape[1] != stream.data.shape[1]:
-                    raise ValidationError(
-                        f"batch has dim {points.shape[1]}, stream "
-                        f"expects {stream.data.shape[1]}"
-                    )
+                points = stream.check_batch(points)
                 self._journal("ingest", arrays={"points": points})
                 before_entries = stream.result().counters.entries_computed
                 n_before = stream.n_items

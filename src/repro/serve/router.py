@@ -39,6 +39,7 @@ import numpy as np
 from repro.exceptions import ValidationError, WorkerError
 from repro.obs.trace import TID_ROUTER, TID_SHARD_BASE
 from repro.serve.assigner import SHORTLIST_MODES, Assignment
+from repro.utils.validation import check_query_block
 
 __all__ = ["BatchingRouter", "merge_partials"]
 
@@ -193,13 +194,7 @@ class BatchingRouter:
                 f"shortlist must be one of {SHORTLIST_MODES}, "
                 f"got {shortlist!r}"
             )
-        queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
-        if queries.ndim != 2 or queries.shape[1] != self.dim:
-            raise ValidationError(
-                f"queries must be (q, {self.dim}), got shape {queries.shape}"
-            )
-        if not np.all(np.isfinite(queries)):
-            raise ValidationError("queries contain NaN or infinite values")
+        queries = check_query_block(queries, dim=self.dim)
         q = queries.shape[0]
         labels = np.full(q, -1, dtype=np.int64)
         scores = np.full(q, -np.inf)
@@ -298,7 +293,9 @@ class BatchingRouter:
         Every submitted request is collected (or its worker marked
         failed) *before* any policy error propagates — a raise must
         never leave an unread reply in a healthy worker's pipe, where
-        it would desync the next request.
+        it would desync the next request.  A block the workers refuse
+        as invalid raises :class:`~repro.exceptions.ValidationError`
+        and marks no shard failed.
         """
         fresh_failures: list[str] = []
         tracer = self.tracer
@@ -335,9 +332,16 @@ class BatchingRouter:
                 shards=len(pending),
             )
         partials = []
+        refused = None
         for worker, seq in pending:
             try:
                 partial = worker.collect(seq)
+            except ValidationError as exc:
+                # A healthy worker refused the block itself (every shard
+                # hashes it the same way): the caller's error, not a
+                # shard failure.  Keep draining the other replies.
+                refused = exc
+                continue
             except WorkerError as exc:
                 fail(worker, str(exc))
                 continue
@@ -357,6 +361,8 @@ class BatchingRouter:
             if delta and self.registry is not None:
                 self.registry.merge(delta)
             partials.append(partial)
+        if refused is not None:
+            raise refused
         if fresh_failures and self.on_worker_error == "raise":
             raise WorkerError(
                 "; ".join(fresh_failures)

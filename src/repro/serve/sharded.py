@@ -218,6 +218,10 @@ def _worker_main(shard_dir: str, conn, mmap: bool) -> None:
                 )
             else:
                 send_message(conn, ("error", seq, f"unknown command {command!r}"))
+        except ValidationError as exc:
+            # The request, not the worker, is at fault (a block too
+            # large to hash): the parent re-raises it typed.
+            send_message(conn, ("invalid", seq, str(exc)))
         except Exception as exc:  # noqa: BLE001 - reported, worker stays up
             send_message(conn, ("error", seq, f"{type(exc).__name__}: {exc}"))
     conn.close()
@@ -313,7 +317,12 @@ class ShardWorker:
         return self._seq
 
     def collect(self, seq: int, timeout: float | None = None):
-        """Wait for the response to *seq* and return its payload."""
+        """Wait for the response to *seq* and return its payload.
+
+        Raises :class:`~repro.exceptions.ValidationError` when the
+        worker refused the request's input (it stays up), and
+        :class:`~repro.exceptions.WorkerError` for any other failure.
+        """
         timeout = self.request_timeout if timeout is None else timeout
         try:
             if not self._conn.poll(timeout):
@@ -336,6 +345,8 @@ class ShardWorker:
                 f"shard worker {self.shard_id} answered request "
                 f"{got_seq}, expected {seq} (protocol desync)"
             )
+        if status == "invalid":
+            raise ValidationError(payload)
         if status != "ok":
             raise WorkerError(
                 f"shard worker {self.shard_id} request failed: {payload}"

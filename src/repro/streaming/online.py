@@ -126,6 +126,28 @@ class StreamingALID:
         return view
 
     # ------------------------------------------------------------------
+    def check_batch(self, batch: np.ndarray) -> np.ndarray:
+        """Refuse what :meth:`partial_fit` would refuse, changing nothing.
+
+        Checks the matrix (2-D, non-empty, finite) and, once the stream
+        holds data, the width and whether every row can be hashed into
+        the index (:meth:`repro.lsh.index.LSHIndex.check_hashable`).  A
+        journaled caller runs this before it records the batch.
+        Returns the canonical ``float64`` batch.
+        """
+        batch = check_data_matrix(batch, name="batch")
+        if self._data is not None:
+            self._check_width(batch)
+            self._index.check_hashable(batch)
+        return batch
+
+    def _check_width(self, batch: np.ndarray) -> None:
+        if batch.shape[1] != self._data.shape[1]:
+            raise ValidationError(
+                f"batch has dim {batch.shape[1]}, stream expects "
+                f"{self._data.shape[1]}"
+            )
+
     def partial_fit(
         self, batch: np.ndarray, *, discover: bool = True
     ) -> DetectionResult:
@@ -149,11 +171,7 @@ class StreamingALID:
                 self._bootstrap(batch)
                 new_indices = np.arange(batch.shape[0], dtype=np.intp)
             else:
-                if batch.shape[1] != self._data.shape[1]:
-                    raise ValidationError(
-                        f"batch has dim {batch.shape[1]}, stream expects "
-                        f"{self._data.shape[1]}"
-                    )
+                self._check_width(batch)
                 new_indices = self._index.insert(batch)
                 self._data = np.vstack([self._data, batch])
                 self._assigned = np.concatenate(

@@ -20,6 +20,7 @@ __all__ = [
     "check_positive",
     "check_probability_vector",
     "check_index_array",
+    "check_query_block",
 ]
 
 
@@ -53,6 +54,60 @@ def check_data_matrix(data: np.ndarray, *, name: str = "data") -> np.ndarray:
     if not np.all(np.isfinite(arr)):
         raise ValidationError(f"{name} contains NaN or infinite values")
     return np.ascontiguousarray(arr)
+
+
+def check_query_block(
+    queries,
+    *,
+    dim: int | None = None,
+    allow_empty: bool = True,
+    name: str = "queries",
+) -> np.ndarray:
+    """Validate and canonicalise a block of query points.
+
+    The serving fronts accept whatever a client sends, so every failure
+    mode of the float conversion becomes a :class:`ValidationError`:
+    strings and other non-numeric input, ragged nested lists, and
+    complex values (which a plain ``float64`` cast would truncate to
+    their real part with only a warning — a silently wrong answer).
+
+    Parameters
+    ----------
+    queries:
+        Array-like of shape ``(q, d)``; a single ``(d,)`` vector is one
+        query.
+    dim:
+        Required number of columns, or ``None`` to accept any.
+    allow_empty:
+        Whether a block of zero rows is accepted.
+    name:
+        Name used in error messages.
+
+    Returns
+    -------
+    numpy.ndarray
+        A C-contiguous ``float64`` array of shape ``(q, d)``.
+    """
+    try:
+        arr = np.asarray(queries)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"{name} must be a numeric array: {exc}") from None
+    if arr.dtype.kind not in "biuf":
+        raise ValidationError(
+            f"{name} must hold real numbers, got dtype {arr.dtype}"
+        )
+    arr = np.atleast_2d(arr)
+    if arr.ndim != 2 or (dim is not None and arr.shape[1] != dim):
+        wanted = "d" if dim is None else dim
+        raise ValidationError(
+            f"{name} must be (q, {wanted}), got shape {arr.shape}"
+        )
+    if arr.shape[0] == 0 and not allow_empty:
+        raise ValidationError(f"{name} must be non-empty, got shape {arr.shape}")
+    arr = np.ascontiguousarray(arr, dtype=np.float64)
+    if not np.all(np.isfinite(arr)):
+        raise ValidationError(f"{name} contain NaN or infinite values")
+    return arr
 
 
 def check_finite(value: np.ndarray | float, *, name: str = "value") -> None:

@@ -247,3 +247,24 @@ class TestKernelLaneGates:
         assert lane["entries_identical"] is True
         assert set(lane["backends"]) == {"reference", "fused", "numba"}
         assert lane["fused_speedup"] >= 1.5
+
+
+class TestLayerTraceTargets:
+    """The traced benchmark patches entry points it looks up by name.
+
+    ``perfbench/layertrace.py`` reads ``owner.__dict__[attr]`` for every
+    target, so a renamed or deleted entry point would otherwise surface
+    only when the traced benchmark next runs.
+    """
+
+    def test_every_target_resolves(self, monkeypatch):
+        root = pathlib.Path(__file__).resolve().parent.parent
+        monkeypatch.syspath_prepend(str(root / "perfbench"))
+        import layertrace
+
+        missing = [
+            f"{name}: {getattr(owner, '__name__', owner)}.{attr}"
+            for name, owner, attr, _ in layertrace._targets()
+            if attr not in owner.__dict__
+        ]
+        assert missing == []

@@ -506,3 +506,193 @@ class TestExportRestoreState:
         bad["mixers"] = state["mixers"][:-1]
         with pytest.raises(ValidationError):
             LSHIndex.from_state(data, r=small_index.r, **bad)
+
+
+def _paper_scale_index(n=400, dim=12, seed=3):
+    """An index with the paper's table shape (40 projections x 50 tables)."""
+    data = np.random.default_rng(seed).normal(scale=3.0, size=(n, dim))
+    return data, LSHIndex(
+        data, r=4.0, n_projections=40, n_tables=50, seed=seed
+    )
+
+
+class TestStackedHashing:
+    """Query-time keys come from the stacked, chunked hashing path.
+
+    The build hashes table by table (``_Table.keys_of_points``); foreign
+    points are hashed against all tables with one matmul per chunk of
+    ``HASH_CHUNK_ROWS`` rows.  The two must agree bit for bit, or a
+    query would miss the bucket its twin item was filed in.
+    """
+
+    @pytest.mark.parametrize("q", [1, 63, 64, 65, 1000])
+    def test_matches_per_table_keys(self, q):
+        data, index = _paper_scale_index()
+        rng = np.random.default_rng(q)
+        points = np.vstack(
+            [
+                data[rng.integers(0, data.shape[0], size=q // 2)]
+                + rng.normal(scale=0.5, size=(q // 2, data.shape[1])),
+                rng.normal(loc=-7.0, scale=9.0, size=(q - q // 2, data.shape[1])),
+            ]
+        )
+        keys = index._block_keys(points)
+        assert keys.shape == (index.n_tables, q, 1)
+        for t, table in enumerate(index._tables):
+            assert np.array_equal(keys[t, :, 0], table.keys_of_points(points))
+
+    def test_own_data_reproduces_stored_keys(self):
+        data, index = _paper_scale_index()
+        restored = LSHIndex.from_state(data, r=index.r, **index.export_state())
+        for built in (index, restored):
+            keys = built._block_keys(data)
+            for t, table in enumerate(built._tables):
+                assert np.array_equal(keys[t, :, 0], table.item_keys)
+            # ...so every item hits its own bucket in every table.
+            qids, buckets = built.point_bucket_hits(data)
+            hit = np.zeros((built.n, built._g_lengths.size), dtype=bool)
+            hit[qids, buckets] = True
+            own = built._item_buckets.T
+            assert hit[np.arange(built.n)[:, None], own].all()
+
+    def test_tables_hold_views_not_copies(self):
+        data, index = _paper_scale_index()
+        index.insert(data[:5] + 0.5)
+        for table in index._tables:
+            assert np.shares_memory(table.family._projections, index._projections)
+            assert np.shares_memory(table.mixer, index._mixers)
+            assert np.shares_memory(table.members, index._g_members)
+            assert np.shares_memory(table.unique_keys, index._g_keys)
+
+    def test_hits_are_unique_and_match_grouped_queries(self, small_index, rng):
+        data = np.vstack([small_index._data, small_index._data[:10]])
+        points = data + rng.normal(scale=0.05, size=data.shape)
+        qids, buckets = small_index.point_bucket_hits(points)
+        pairs = qids * small_index._g_lengths.size + buckets
+        assert np.unique(pairs).size == pairs.size
+        assert (np.bincount(qids, minlength=70) <= small_index.n_tables).all()
+        grouped = small_index.query_points_grouped(points)
+        for i in range(70):
+            members = small_index._gather_buckets(buckets[qids == i])
+            assert np.array_equal(grouped[i], np.unique(members))
+
+    def test_empty_block_has_no_hits(self, small_index):
+        qids, buckets = small_index.point_bucket_hits(np.empty((0, 8)))
+        assert qids.size == 0 and buckets.size == 0
+
+
+class TestHugeQueries:
+    """A finite query can still project beyond the int64 hash codes."""
+
+    @pytest.mark.parametrize("value", [1e20, -1e20, 1e300, -1e300])
+    def test_out_of_range_projection_raises(self, small_index, value):
+        point = np.full((1, 8), value)
+        with pytest.raises(ValidationError, match="int64"):
+            small_index.point_bucket_hits(point)
+        with pytest.raises(ValidationError, match="int64"):
+            small_index.query_points_grouped(point)
+        with pytest.raises(ValidationError, match="int64"):
+            small_index.query_point(point[0])
+
+    def test_huge_row_in_a_later_chunk_raises(self, small_index):
+        points = np.zeros((130, 8))
+        points[129] = 1e300
+        with pytest.raises(ValidationError, match="int64"):
+            small_index.point_bucket_hits(points)
+
+    def test_large_but_hashable_points_pass(self, small_index):
+        qids, _ = small_index.point_bucket_hits(np.full((2, 8), 1e6))
+        assert qids.size == 0
+
+    def test_non_finite_points_raise(self, small_index):
+        with pytest.raises(ValidationError, match="NaN"):
+            small_index.point_bucket_hits(np.full((1, 8), np.nan))
+
+    def test_check_hashable_refuses_what_hashing_refuses(self, small_index):
+        points = np.zeros((3, 8))
+        assert np.array_equal(small_index.check_hashable(points), points)
+        points[1] = 1e20
+        with pytest.raises(ValidationError, match="int64"):
+            small_index.check_hashable(points)
+
+    def test_insert_refuses_the_batch_and_changes_nothing(self, blob_data):
+        data, _ = blob_data
+        index = LSHIndex(data, r=5.0, n_projections=6, n_tables=5, seed=3)
+        before = index.export_state()
+        batch = np.zeros((4, data.shape[1]))
+        batch[2] = -1e300
+        with pytest.raises(ValidationError, match="int64"):
+            index.insert(batch)
+        after = index.export_state()
+        assert index.n == data.shape[0]
+        for name in before:
+            assert np.array_equal(after[name], before[name]), name
+
+
+class TestItemBucketMap:
+    """``_item_buckets`` against an independent key-search reference."""
+
+    @staticmethod
+    def _assert_matches_key_search(index):
+        for t, table in enumerate(index._tables):
+            reference = np.searchsorted(table.unique_keys, table.item_keys)
+            assert np.array_equal(
+                table.unique_keys[reference], table.item_keys
+            )
+            assert np.array_equal(
+                index._item_buckets[t],
+                reference + index._table_bucket_base[t],
+            )
+
+    def test_after_construction(self, small_index):
+        self._assert_matches_key_search(small_index)
+
+    def test_after_insert_into_new_buckets(self, small_index, rng):
+        before = small_index._g_lengths.size
+        far = rng.uniform(200.0, 400.0, size=(9, 8))
+        small_index.insert(far)
+        assert small_index._g_lengths.size > before
+        self._assert_matches_key_search(small_index)
+
+    def test_after_insert_into_duplicate_key_buckets(self, small_index):
+        before = small_index._g_lengths.size
+        small_index.insert(small_index._data[:7].copy())
+        assert small_index._g_lengths.size == before
+        self._assert_matches_key_search(small_index)
+        for i in range(7):
+            assert np.array_equal(
+                small_index._item_buckets[:, small_index.n - 7 + i],
+                small_index._item_buckets[:, i],
+            )
+
+    def test_after_from_state(self, small_index, blob_data, rng):
+        small_index.insert(rng.normal(scale=30.0, size=(5, 8)))
+        restored = LSHIndex.from_state(
+            small_index._data, r=small_index.r, **small_index.export_state()
+        )
+        self._assert_matches_key_search(restored)
+        assert np.array_equal(restored._item_buckets, small_index._item_buckets)
+
+
+class TestBucketOwners:
+    def test_matches_per_bucket_owner_sets(self, small_index, rng):
+        owner = rng.integers(-1, 4, size=small_index.n)
+        offsets, owners = small_index.bucket_owners(owner)
+        assert offsets.dtype == np.int32 and owners.dtype == np.int32
+        assert offsets.size == small_index._g_lengths.size + 1
+        for b in range(small_index._g_lengths.size):
+            members = small_index._gather_buckets(np.asarray([b]))
+            expected = np.unique(owner[members])
+            expected = expected[expected >= 0]
+            assert np.array_equal(owners[offsets[b] : offsets[b + 1]], expected)
+
+    def test_no_owners(self, small_index):
+        offsets, owners = small_index.bucket_owners(
+            np.full(small_index.n, -1)
+        )
+        assert owners.size == 0
+        assert not offsets.any()
+
+    def test_shape_mismatch_raises(self, small_index):
+        with pytest.raises(ValidationError):
+            small_index.bucket_owners(np.zeros(small_index.n - 1))

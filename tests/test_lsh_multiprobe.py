@@ -268,10 +268,14 @@ class TestVectorizedEnumeration:
         slow = MultiProbeQuerier(index, n_probes=n_probes)
         slow._probe_plan = lambda mu: None  # force the per-query heap
         for table in index._tables:
-            k_fast, o_fast = fast._probe_keys_with_ids(table, points)
-            k_slow, o_slow = slow._probe_keys_with_ids(table, points)
-            np.testing.assert_array_equal(k_fast, k_slow)
-            np.testing.assert_array_equal(o_fast, o_slow)
+            coords = table.family.project(points)
+            fractions = coords - np.floor(coords)
+            base = table.keys_of_points(points)
+            mixers = np.broadcast_to(table.mixer, fractions.shape)
+            np.testing.assert_array_equal(
+                fast.probe_keys(fractions, base, mixers),
+                slow.probe_keys(fractions, base, mixers),
+            )
 
     def test_heap_fallback_above_cap(self, small_index):
         from repro.lsh import multiprobe as mp

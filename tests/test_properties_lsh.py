@@ -8,7 +8,7 @@ rely on — peeling and insertion must never corrupt bucket membership.
 """
 
 import numpy as np
-from hypothesis import settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import (
     RuleBasedStateMachine,
@@ -17,7 +17,7 @@ from hypothesis.stateful import (
     rule,
 )
 
-from repro.lsh.index import LSHIndex
+from repro.lsh.index import LSHIndex, csr_gather
 
 DIM = 4
 SEED = 1234
@@ -95,8 +95,49 @@ class LSHIndexMachine(RuleBasedStateMachine):
     def active_count_consistent(self):
         assert self.index.n_active == int(self.active.sum())
 
+    @invariant()
+    def item_bucket_map_matches_key_search(self):
+        # The map is read off each table's sort order; an independent
+        # key search must agree after any interleaving of inserts.
+        for t, table in enumerate(self.index._tables):
+            np.testing.assert_array_equal(
+                self.index._item_buckets[t],
+                np.searchsorted(table.unique_keys, table.item_keys)
+                + self.index._table_bucket_base[t],
+            )
+
 
 TestLSHIndexStateful = LSHIndexMachine.TestCase
 TestLSHIndexStateful.settings = settings(
     max_examples=20, stateful_step_count=10, deadline=None
 )
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    rows=st.lists(row, min_size=2, max_size=12),
+    owner_seed=st.integers(min_value=0, max_value=2**16),
+    queries=st.lists(row, min_size=1, max_size=6),
+)
+def test_owner_table_pairs_equal_item_owner_pairs(rows, owner_seed, queries):
+    """Bucket -> owner lookups shortlist exactly what item gathers do."""
+    data = np.asarray(rows, dtype=np.float64)
+    index = LSHIndex(data, r=20.0, n_projections=6, n_tables=4, seed=SEED)
+    owner = np.random.default_rng(owner_seed).integers(-1, 3, size=len(rows))
+    points = np.asarray(queries, dtype=np.float64)
+    offsets, owners = index.bucket_owners(owner)
+    qids, buckets = index.point_bucket_hits(points)
+    lengths = offsets[buckets + 1] - offsets[buckets]
+    by_table = set(
+        zip(
+            np.repeat(qids, lengths).tolist(),
+            csr_gather(owners, offsets[buckets], lengths).tolist(),
+        )
+    )
+    by_items = {
+        (q, int(owner[i]))
+        for q, items in enumerate(index.query_points_grouped(points))
+        for i in items
+        if owner[i] >= 0
+    }
+    assert by_table == by_items

@@ -263,3 +263,161 @@ class TestMultiprobeShortlist:
         exact = assigner.assign(queries, shortlist="all")
         multi = assigner.assign(queries, shortlist="multiprobe")
         assert np.array_equal(multi.labels, exact.labels)
+
+
+def _item_path_pairs(assigner, queries, shortlist):
+    """The item-gather shortlist the owner table replaces (the reference).
+
+    Every colliding item is gathered per query and mapped to its owning
+    cluster row through ``_item_owner``.
+    """
+    source = assigner.multiprobe if shortlist == "multiprobe" else assigner.index
+    pairs = set()
+    for qid, items in enumerate(source.query_points_grouped(queries)):
+        rows = assigner._item_owner[items]
+        pairs.update((qid, int(row)) for row in rows[rows >= 0])
+    return sorted(pairs)
+
+
+def _owner_table_pairs(assigner, queries, shortlist):
+    qids, rows = assigner._shortlist_pairs(queries, shortlist)
+    return list(zip(qids.tolist(), rows.tolist()))
+
+
+def _hand_built_snapshot(clusters, data, index):
+    return DetectionSnapshot(
+        data=data,
+        config=ALIDConfig(delta=200, seed=0),
+        kernel=LaplacianKernel(k=1.0, p=2.0),
+        lsh_r=index.r,
+        index_arrays=index.export_state(),
+        clusters=clusters,
+    )
+
+
+@pytest.fixture(scope="module")
+def overlapping_fit():
+    """Hand-built clusters whose supports overlap, plus far noise."""
+    rng = np.random.default_rng(11)
+    data = np.vstack(
+        [
+            rng.normal(scale=0.4, size=(50, 6)),
+            rng.normal(loc=5.0, scale=0.4, size=(30, 6)),
+            rng.uniform(40.0, 80.0, size=(40, 6)),
+        ]
+    )
+    index = LSHIndex(data, r=2.0, n_projections=6, n_tables=8, seed=2)
+
+    def cluster(members, density, label):
+        weights = np.full(members.size, 1.0 / members.size)
+        return Cluster(
+            members=members, weights=weights, density=density, label=label
+        )
+
+    # Rows 0 and 1 share items 20..29; row 1 is denser, so it owns them.
+    clusters = [
+        cluster(np.arange(0, 30), 0.7, 10),
+        cluster(np.arange(20, 50), 0.9, 11),
+        cluster(np.arange(50, 80), 0.8, 12),
+    ]
+    snapshot = _hand_built_snapshot(clusters, data, index)
+    queries = np.vstack(
+        [
+            data[:80] + rng.normal(scale=0.2, size=(80, 6)),
+            rng.normal(loc=2.5, scale=1.5, size=(30, 6)),
+        ]
+    )
+    return snapshot, queries
+
+
+class TestOwnerTable:
+    """Owner-table pairs equal the item-path pairs they replace."""
+
+    @pytest.mark.parametrize("shortlist", ["lsh", "multiprobe"])
+    def test_overlapping_supports(self, overlapping_fit, shortlist):
+        snapshot, queries = overlapping_fit
+        assigner = ClusterAssigner(snapshot, n_probes=4)
+        assert (assigner._item_owner[20:30] == 1).all()  # densest wins
+        assert (assigner._item_owner[:20] == 0).all()
+        pairs = _owner_table_pairs(assigner, queries, shortlist)
+        assert pairs == _item_path_pairs(assigner, queries, shortlist)
+        assert {row for _, row in pairs} == {0, 1, 2}
+
+    @pytest.mark.parametrize("shortlist", ["lsh", "multiprobe"])
+    def test_fitted_snapshot(self, separated_fit, shortlist):
+        snapshot, queries = separated_fit
+        assigner = ClusterAssigner(snapshot)
+        for lo in range(0, queries.shape[0], 7):
+            block = queries[lo : lo + 7]
+            assert _owner_table_pairs(
+                assigner, block, shortlist
+            ) == _item_path_pairs(assigner, block, shortlist)
+
+    @pytest.mark.parametrize("shortlist", ["lsh", "multiprobe"])
+    def test_block_hitting_only_noise(self, overlapping_fit, shortlist):
+        snapshot, _ = overlapping_fit
+        assigner = ClusterAssigner(snapshot, n_probes=4)
+        noise_block = snapshot.data[80:]
+        qids, _ = assigner.index.point_bucket_hits(noise_block)
+        assert qids.size > 0  # the block does collide, with noise only
+        assert _owner_table_pairs(assigner, noise_block, shortlist) == []
+        assert _item_path_pairs(assigner, noise_block, shortlist) == []
+        assignment = assigner.assign(noise_block, shortlist=shortlist)
+        assert (assignment.labels == -1).all()
+        assert (assignment.n_candidates == 0).all()
+
+    @pytest.mark.parametrize("shortlist", ["lsh", "multiprobe"])
+    def test_zero_cluster_snapshot(self, overlapping_fit, shortlist):
+        snapshot, queries = overlapping_fit
+        index = snapshot.restore_index()
+        empty = _hand_built_snapshot([], snapshot.data, index)
+        assigner = ClusterAssigner(empty, n_probes=4)
+        assert assigner._owner_rows.size == 0
+        assert not assigner._owner_offsets.any()
+        assert _item_path_pairs(assigner, queries, shortlist) == []
+        assignment = assigner.assign(queries, shortlist=shortlist)
+        assert (assignment.labels == -1).all()
+        assert assignment.entries_computed == 0
+
+
+class TestMalformedQueries:
+    """Hostile query blocks fail typed, never partially or silently."""
+
+    @pytest.mark.parametrize(
+        "queries",
+        [
+            "not a block",
+            [["a"] * 10, ["b"] * 10],
+            [[0.0] * 10, [0.0] * 9],
+            np.zeros((2, 10), dtype=np.complex128) + 1j,
+            [[None] * 10],
+        ],
+        ids=["string", "strings", "ragged", "complex", "object"],
+    )
+    @pytest.mark.parametrize("shortlist", ["lsh", "multiprobe", "all"])
+    def test_rejected_with_validation_error(
+        self, separated_fit, queries, shortlist
+    ):
+        snapshot, _ = separated_fit
+        with pytest.raises(ValidationError, match="queries"):
+            ClusterAssigner(snapshot).assign(queries, shortlist=shortlist)
+
+    @pytest.mark.parametrize("shortlist", ["lsh", "multiprobe", "all"])
+    def test_huge_finite_queries_raise(self, separated_fit, shortlist):
+        """Every mode refuses a block too large to hash, not only LSH."""
+        snapshot, _ = separated_fit
+        huge = np.full((2, snapshot.dim), 1e300)
+        with pytest.raises(ValidationError, match="int64"):
+            ClusterAssigner(snapshot).assign(huge, shortlist=shortlist)
+
+    @pytest.mark.parametrize("shortlist", ["lsh", "multiprobe", "all"])
+    def test_huge_queries_raise_without_clusters(
+        self, overlapping_fit, shortlist
+    ):
+        snapshot, _ = overlapping_fit
+        empty = _hand_built_snapshot(
+            [], snapshot.data, snapshot.restore_index()
+        )
+        huge = np.full((2, snapshot.dim), -1e20)
+        with pytest.raises(ValidationError, match="int64"):
+            ClusterAssigner(empty).assign(huge, shortlist=shortlist)

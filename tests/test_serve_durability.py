@@ -520,6 +520,36 @@ class TestRecoverValidation:
         service = IngestService.recover(root / "ingest.wal")
         service.close()
 
+    def test_unhashable_batch_refused_before_journaling(
+        self, batches, tmp_path
+    ):
+        """A row too large to hash never reaches the journal.
+
+        Inserting it would raise after the record was written, and
+        every later recovery would then fail replaying it.
+        """
+        path = tmp_path / "j.wal"
+        service = IngestService(
+            StreamingALID(_config()), repeel="sync", wal=path
+        )
+        service.ingest(batches["b1"])
+        records = service.stats()["wal_records"]
+        bad = batches["b2"].copy()
+        bad[7] = 1e300
+        with pytest.raises(ValidationError, match="int64"):
+            service.ingest(bad)
+        assert service.stats()["wal_records"] == records
+        assert service._stream.n_items == batches["b1"].shape[0]
+        service.ingest(batches["b2"])
+        service.close()
+        recovered = IngestService.recover(path)
+        try:
+            assert recovered._stream.n_items == (
+                batches["b1"].shape[0] + batches["b2"].shape[0]
+            )
+        finally:
+            recovered.close()
+
     def test_wal_counters_and_stats(self, batches, tmp_path):
         root = tmp_path / "chain"
         service = _scripted_run(

@@ -170,6 +170,75 @@ class TestFrontendValidation:
 
         asyncio.run(go())
 
+    def test_wrong_width_request_fails_alone(self, service):
+        """A co-batched wrong-width block must not sink its neighbours."""
+
+        async def go():
+            async with AsyncFrontend(service) as frontend:
+                good = frontend.assign(np.zeros((3, 16)))
+                bad = frontend.assign(np.zeros((2, 5)))
+                replies = await asyncio.wait_for(
+                    asyncio.gather(good, bad, return_exceptions=True), 30
+                )
+                later = await asyncio.wait_for(
+                    frontend.assign(np.zeros((2, 16))), 30
+                )
+                return replies, later
+
+        (good, bad), later = asyncio.run(go())
+        assert good.labels.shape == (3,)
+        assert isinstance(bad, ValidationError)
+        assert later.labels.shape == (2,)
+
+    def test_unhashable_request_fails_alone(self, service):
+        """A co-batched block too large to hash sinks only its request.
+
+        The handle refuses the whole micro-batch; the front-end then
+        serves each request on its own, so its neighbours, from other
+        clients, still get their replies.
+        """
+        rng = np.random.default_rng(5)
+        goods = [rng.normal(size=(n, 16)) for n in (3, 1, 4)]
+        bad = np.full((1, 16), 1e300)
+
+        async def go():
+            async with AsyncFrontend(service) as frontend:
+                calls = [
+                    frontend.assign(goods[0], client="a"),
+                    frontend.assign(bad, client="b"),
+                    frontend.assign(goods[1], client="c"),
+                    frontend.assign(goods[2], client="a"),
+                ]
+                replies = await asyncio.wait_for(
+                    asyncio.gather(*calls, return_exceptions=True), 30
+                )
+                return replies, frontend.stats()
+
+        replies, stats = asyncio.run(go())
+        assert isinstance(replies[1], ValidationError)
+        assert "int64" in str(replies[1])
+        for block, reply in zip(goods, replies[:1] + replies[2:]):
+            want = service.assign(block)
+            assert np.array_equal(reply.labels, want.labels)
+            assert np.array_equal(reply.scores, want.scores)
+        assert stats["requests_failed"] == 1
+
+    @pytest.mark.parametrize(
+        "queries",
+        ["nope", [[0.0] * 16, [0.0] * 15], np.zeros((1, 16)) + 1j],
+        ids=["string", "ragged", "complex"],
+    )
+    def test_rejects_malformed_queries(self, service, queries):
+        async def go():
+            async with AsyncFrontend(service) as frontend:
+                with pytest.raises(ValidationError, match="queries"):
+                    await frontend.assign(queries)
+                # The dispatcher is unharmed: a valid request still serves.
+                reply = await frontend.assign(np.zeros((2, 16)))
+                assert reply.labels.shape == (2,)
+
+        asyncio.run(go())
+
 
 class TestFrontendServing:
     def test_solo_request_byte_identical_to_reference(

@@ -295,6 +295,75 @@ class TestHotReload:
             service.close()
 
 
+#: Query blocks a client might send that no float64 cast can honour.
+MALFORMED_QUERIES = {
+    "string": "not a block",
+    "strings": [["a"] * 16, ["b"] * 16],
+    "ragged": [[0.0] * 16, [0.0] * 15],
+    "complex": np.zeros((2, 16)) + 1j,
+    "object": [[None] * 16],
+}
+
+
+class TestMalformedQueries:
+    """Both serving fronts reject hostile blocks with ValidationError."""
+
+    @pytest.mark.parametrize("kind", sorted(MALFORMED_QUERIES))
+    @pytest.mark.parametrize("shortlist", ["lsh", "multiprobe", "all"])
+    def test_both_fronts_raise_and_keep_serving(
+        self, fitted, snapshot_dir, sharded, kind, shortlist
+    ):
+        dataset, _, _ = fitted
+        single = ClusterService(snapshot_dir)
+        try:
+            for front in (single, sharded):
+                with pytest.raises(ValidationError, match="queries"):
+                    front.assign(MALFORMED_QUERIES[kind], shortlist=shortlist)
+            a = single.assign(dataset.data[:40], shortlist=shortlist)
+            b = sharded.assign(dataset.data[:40], shortlist=shortlist)
+            assert np.array_equal(a.labels, b.labels)
+            assert np.array_equal(a.scores, b.scores)
+        finally:
+            single.close()
+
+    def test_huge_finite_queries_fail_typed(self, fitted, snapshot_dir, sharded):
+        """A block that projects past int64 hash codes is refused.
+
+        Both fronts raise the index's ValidationError; the shard workers
+        report it back typed and stay up for the next request.
+        """
+        dataset, _, _ = fitted
+        huge = np.full((3, 16), 1e300)
+        single = ClusterService(snapshot_dir)
+        try:
+            for front in (single, sharded):
+                with pytest.raises(ValidationError, match="int64"):
+                    front.assign(huge)
+            a = single.assign(dataset.data[:40])
+            b = sharded.assign(dataset.data[:40])
+            assert np.array_equal(a.labels, b.labels)
+            assert np.array_equal(a.scores, b.scores)
+        finally:
+            single.close()
+
+    def test_refused_block_is_not_a_shard_failure(
+        self, fitted, snapshot_dir, tmp_path
+    ):
+        """Under ``skip`` a refused block neither degrades nor kills shards."""
+        dataset, _, _ = fitted
+        root = tmp_path / "refuse"
+        ShardPlanner(n_shards=2).plan(snapshot_dir, root)
+        with ShardedClusterService(root, on_worker_error="skip") as service:
+            block = dataset.data[:40].copy()
+            block[17] = -1e20
+            with pytest.raises(ValidationError, match="int64"):
+                service.assign(block)
+            stats = service.stats()
+            assert stats["degraded_batches"] == 0
+            assert stats["dead_shards"] == []
+            assert service.assign(dataset.data[:40]).n_queries == 40
+
+
 class TestServiceMechanics:
     def test_empty_batch(self, sharded, fitted):
         dataset, _, _ = fitted

@@ -11,6 +11,7 @@ from repro.utils.validation import (
     check_index_array,
     check_positive,
     check_probability_vector,
+    check_query_block,
 )
 
 
@@ -159,3 +160,50 @@ class TestCheckIndexArray:
     def test_rejects_2d(self):
         with pytest.raises(ValidationError, match="1-D"):
             check_index_array(np.zeros((2, 2), dtype=int), 4)
+
+
+class TestCheckQueryBlock:
+    def test_vector_is_one_query(self):
+        out = check_query_block([1, 2, 3], dim=3)
+        assert out.shape == (1, 3)
+        assert out.dtype == np.float64
+
+    def test_returns_contiguous_float64(self):
+        arr = np.arange(12, dtype=np.int32).reshape(3, 4)[:, ::-1]
+        out = check_query_block(arr)
+        assert out.flags["C_CONTIGUOUS"] and out.dtype == np.float64
+        assert np.array_equal(out, arr)
+
+    def test_empty_block(self):
+        assert check_query_block(np.empty((0, 4)), dim=4).shape == (0, 4)
+        with pytest.raises(ValidationError, match="non-empty"):
+            check_query_block(np.empty((0, 4)), allow_empty=False)
+
+    @pytest.mark.parametrize(
+        "queries",
+        [
+            "abc",
+            ["1.0", "2.0"],
+            [[1.0, 2.0], [3.0]],
+            np.asarray([[1 + 2j, 3.0]]),
+            [[None, 1.0]],
+            np.zeros((2, 2, 2)),
+        ],
+        ids=["string", "numeric-strings", "ragged", "complex", "object", "3-D"],
+    )
+    def test_malformed_blocks_raise(self, queries):
+        with pytest.raises(ValidationError, match="queries"):
+            check_query_block(queries)
+
+    def test_complex_is_rejected_not_truncated(self):
+        # A float64 cast would keep the real part with only a warning.
+        with pytest.raises(ValidationError, match="complex"):
+            check_query_block(np.asarray([[1 + 1j]]))
+
+    def test_dim_mismatch(self):
+        with pytest.raises(ValidationError, match=r"\(q, 3\)"):
+            check_query_block(np.zeros((2, 4)), dim=3)
+
+    def test_non_finite(self):
+        with pytest.raises(ValidationError, match="NaN"):
+            check_query_block([[np.inf, 0.0]])

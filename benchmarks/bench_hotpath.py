@@ -59,7 +59,7 @@ from repro.core.alid import ALID, ALIDEngine  # noqa: E402
 from repro.core.config import ALIDConfig  # noqa: E402
 from repro.datasets.synthetic import make_synthetic_mixture  # noqa: E402
 from repro.dynamics.lid import LIDState, lid_dynamics  # noqa: E402
-from repro.dynamics.lid_kernel import LID_KERNELS, kernel_info  # noqa: E402
+from repro.dynamics.lid_kernel import LID_KERNELS  # noqa: E402
 
 # Fixed synthetic workloads.  Sizes/seeds must never change silently:
 # the CI regression gate compares `entries_computed` against the
@@ -86,16 +86,16 @@ def _make_data(size_key: str) -> np.ndarray:
 
 
 def bench_alid(size_key: str) -> dict:
-    """End-to-end ALID fit (LID + ROI + CIVS + batched peeling).
+    """End-to-end ALID fit (LID + ROI + CIVS + peeling).
 
-    Beyond the work accounting, the report carries the batched driver's
-    per-round statistics: ``seed_rounds`` (batched peeling rounds),
-    ``noise_prefiltered`` (seeds killed by the vectorized noise
+    Beyond the work accounting, the report carries the peeling loop's
+    statistics: ``seed_rounds`` (peeling rounds, one colliding-mask
+    pass each), ``noise_prefiltered`` (seeds killed by the noise
     pre-filter before any LID iteration), ``lid_runs`` (full Alg. 2
     runs), ``noise_lid_runs`` (full runs that still produced a
     sub-dominant peel), and ``noise_lid_reduction`` — how many times
-    fewer full LID runs are spent on noise seeds than the sequential
-    driver's one-run-per-peel protocol (``noise_peels``).
+    fewer full LID runs are spent on noise seeds than one run per peel
+    would spend (``noise_peels``).
     """
     data = _make_data(size_key)
     config = ALIDConfig(seed=_SEED)
@@ -219,10 +219,6 @@ def bench_lid_kernel(size_key: str) -> dict:
       ``iterations_per_sec`` per backend, with ``fused_speedup`` (the
       reference/fused wall ratio, best of two trials) gated in CI
       against a 10% regression floor.
-
-    ``resolved`` records what the ``numba`` backend actually ran —
-    ``"fused"`` wherever numba is not installed (it is an optional
-    extra), so the lane stays green without it.
     """
     data = _make_data(size_key)
     n = data.shape[0]
@@ -262,7 +258,6 @@ def bench_lid_kernel(size_key: str) -> dict:
             "cold_iterations": int(cold_iters),
             "entries_computed": int(cold_entries),
             "converged": bool(converged),
-            "resolved": kernel_info(name)["resolved"],
         }
     reference = backends["reference"]
     entries_identical = all(

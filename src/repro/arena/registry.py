@@ -131,12 +131,9 @@ def default_registry(
 ) -> dict[str, DetectorSpec]:
     """Every detector the arena knows, keyed by registry name.
 
-    ALID appears once per deterministic ``lid_kernel`` backend
-    (``reference`` and ``fused``; the optional ``numba`` backend is
-    excluded because it silently falls back to ``fused`` when numba is
-    absent, which would duplicate a row under a misleading name).  All
-    baselines route their randomness through the seed handed to
-    ``build``, so every cell is bit-reproducible.
+    ALID appears once per ``lid_kernel`` backend (``reference`` and
+    ``fused``).  All baselines route their randomness through the seed
+    handed to ``build``, so every cell is bit-reproducible.
     """
     specs = [
         _alid_spec("alid-reference", "reference", delta, density_threshold),

@@ -230,9 +230,8 @@ def build_parser() -> argparse.ArgumentParser:
     det.add_argument("--out", default=None, help="save result .npz here")
     det.add_argument("--seed", type=int, default=0)
     det.add_argument("--lid-kernel", default="fused",
-                     choices=("reference", "fused", "numba"),
-                     help="LID inner-loop backend (bit-identical; "
-                          "'numba' falls back to 'fused' without numba)")
+                     choices=("reference", "fused"),
+                     help="LID inner-loop backend (bit-identical)")
     det.add_argument("--profile", action="store_true",
                      help="run the fit under the phase profiler and "
                           "print per-phase wall/work keyed to the "
@@ -261,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
     snap.add_argument("--density-threshold", type=float, default=0.75)
     snap.add_argument("--seed", type=int, default=0)
     snap.add_argument("--lid-kernel", default="fused",
-                      choices=("reference", "fused", "numba"),
+                      choices=("reference", "fused"),
                       help="LID inner-loop backend (bit-identical)")
 
     shard = sub.add_parser(

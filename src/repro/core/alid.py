@@ -10,25 +10,21 @@ This module assembles the three steps of paper Alg. 2 —
    inside the ROI (:mod:`repro.core.civs`) which extend ``beta`` for the
    next round —
 
-into a lockstep-executable seed run (:class:`_SeedRun`), exposed through
+into a seed run (:class:`_SeedRun`), exposed through
 :meth:`ALIDEngine.detect_from_seed` (one seed) and
-:meth:`ALIDEngine.detect_cohort` (a block of seeds driven as a cohort
-against batched LSH retrievals), and wraps the peeling driver of §4.4
-(detect, peel, reiterate until everything is peeled; keep clusters whose
-density clears the threshold) into the user-facing :class:`ALID`
-estimator.
+:meth:`ALIDEngine.detect_cohort` (a block of seeds driven in lockstep
+against batched LSH retrievals, PALID's mapper unit), and wraps the
+peeling loop of §4.4 (detect, peel, reiterate until everything is
+peeled; keep clusters whose density clears the threshold) into the
+user-facing :class:`ALID` estimator.
 
-The peeling driver runs **batched seed rounds** by default: each round
-pulls a rank-ordered block of surviving seeds from
-:class:`SeedSchedule`, kills noise-isolated seeds with a vectorized
-pre-filter (one fused-CSR bucket-population pass — no LID iteration is
-ever spent on a seed that provably peels as a zero-work singleton), and
-drives the surviving seeds of *distinct LSH collision components* as one
-cohort.  Because a seeded Alg. 2 run can only reach items inside its
-seed's collision component, cohort members peel independently and the
-round's detections are identical — same clusters, same order, same
-``entries_computed`` — to the paper-literal sequential peel
-(``ALIDConfig(peel_driver="sequential")``).
+The peel runs in rounds.  Each round takes one colliding mask over the
+LSH index, peels every noise-isolated seed the schedule yields as a
+zero-work singleton (an Alg. 2 run seeded there can retrieve nothing),
+and runs Alg. 2 from the first seed with an active collision.  Peeling
+an isolated item changes no other item's collisions, so the mask holds
+for the whole round and the emitted clusters are exactly those of the
+paper-literal one-seed-at-a-time loop.
 """
 
 from __future__ import annotations
@@ -289,8 +285,8 @@ class _SeedRun:
 class ALIDEngine:
     """Shared machinery for one dataset: kernel, oracle, LSH index.
 
-    Both the peeling drivers (:class:`ALID`) and the PALID mappers run
-    :meth:`detect_from_seed` / :meth:`detect_cohort` against one engine,
+    The peeling loop (:class:`ALID`) runs :meth:`detect_from_seed` and
+    the PALID mappers run :meth:`detect_cohort` against one engine,
     mirroring the paper's server-stored hash tables and data items
     (§4.6).
 
@@ -426,10 +422,8 @@ class ALIDEngine:
         is identical to a standalone :meth:`detect_from_seed` call over
         the same active mask; only the uncharged LSH traffic is fused.
 
-        The peeling driver additionally guarantees cohort seeds live in
-        distinct LSH collision components so their detections commute
-        with peeling; PALID's mappers, which never peel between seeds,
-        may pass arbitrary seed blocks.
+        No item is peeled between the cohort's seeds, so any seed block
+        is valid; PALID's mappers are the caller.
 
         Parameters
         ----------
@@ -496,7 +490,7 @@ class ALIDEngine:
 
 
 class SeedSchedule:
-    """Order in which the peeling driver picks initial vertices.
+    """Order in which the peeling loop picks initial vertices.
 
     Items in large LSH buckets are likely members of dominant clusters
     (the observation PALID's sampling is built on, §4.6), so we visit
@@ -525,43 +519,13 @@ class SeedSchedule:
             self._cursor += 1
         return None
 
-    def next_block(self, limit: int) -> np.ndarray:
-        """Up to *limit* distinct surviving seeds, in rank order.
-
-        The batched peeling driver's round intake: one vectorized scan
-        over the remaining schedule (the cursor permanently skips the
-        peeled prefix, so repeated rounds do not rescan dead seeds).
-        Seeds are *peeked*, not consumed — a seed stays eligible until
-        something deactivates it, exactly like :meth:`next_active`.
-
-        Parameters
-        ----------
-        limit:
-            Maximum number of seeds to return (>= 1).
-
-        Returns
-        -------
-        numpy.ndarray
-            Active seed indices in schedule order; empty when
-            everything is peeled.
-        """
-        active = self._index.active_mask
-        remaining = self._order[self._cursor :]
-        alive = np.flatnonzero(active[remaining])
-        if alive.size == 0:
-            self._cursor = self._order.size
-            return np.empty(0, dtype=np.intp)
-        self._cursor += int(alive[0])
-        return remaining[alive[: max(1, int(limit))]]
-
 
 class ALID:
     """Dominant-cluster detector with the paper's peeling protocol (§4.4).
 
     Detection peels one dominant cluster after another until every item
-    is gone; the default driver batches the peel into seed rounds (see
-    :class:`~repro.core.config.ALIDConfig.peel_driver`) with results
-    equivalent to the paper-literal sequential loop.
+    is gone, one Alg. 2 run per round (see the module docstring for the
+    noise pre-filter each round applies first).
 
     Parameters
     ----------
@@ -594,7 +558,6 @@ class ALID:
         data: np.ndarray,
         *,
         budget_entries: int | None = None,
-        max_clusters: int | None = None,
     ) -> DetectionResult:
         """Detect all dominant clusters in *data*.
 
@@ -604,15 +567,7 @@ class ALID:
             Data matrix ``(n, d)``.
         budget_entries:
             Optional simulated-memory cap (see
-            :class:`~repro.affinity.oracle.AffinityOracle`).  A budget
-            caps the detection cohort at one seed per round so the
-            eviction behaviour matches the sequential peel; the noise
-            pre-filter (which stores nothing) stays on.
-        max_clusters:
-            Optional cap on peeling rounds (diagnostics only; the paper
-            peels until every item is gone).  A capped run uses the
-            sequential driver so no cohort detection is ever computed
-            past the cap and the work accounting stays cap-exact.
+            :class:`~repro.affinity.oracle.AffinityOracle`).
 
         Returns
         -------
@@ -620,9 +575,8 @@ class ALID:
             Dominant clusters (density >= ``config.density_threshold`` and
             size >= ``config.min_cluster_size``), plus every peeled
             cluster in ``all_clusters``.  ``metadata`` carries the
-            per-round driver statistics (``seed_rounds``,
-            ``noise_prefiltered``, ``lid_runs``, ``noise_lid_runs``,
-            ``max_cohort``).
+            peeling statistics (``seed_rounds``, ``noise_prefiltered``,
+            ``lid_runs``, ``noise_lid_runs``, ``max_cohort``).
         """
         data = check_data_matrix(data)
         if data.shape[0] == 0:
@@ -632,40 +586,16 @@ class ALID:
             "noise_prefiltered": 0,
             "lid_runs": 0,
             "noise_lid_runs": 0,
-            "max_cohort": 0,
         }
         with timed() as clock:
             engine = ALIDEngine(
                 data, self.config, budget_entries=budget_entries
             )
             self.engine_ = engine
-            schedule = SeedSchedule(engine.index)
             all_clusters: list[Cluster] = []
-            cap = max_clusters if max_clusters is not None else data.shape[0]
-            # verify_global's exact full-range scan can resurrect items
-            # with no LSH collisions, which voids both the pre-filter
-            # proof and the component-independence invariant; a
-            # max_clusters cap can truncate a round mid-plan, wasting
-            # cohort detections the sequential driver would never have
-            # started.  Both (diagnostics-only) modes fall back to the
-            # paper-literal loop so the work accounting stays exact.
-            if (
-                self.config.peel_driver == "batched"
-                and not self.config.verify_global
-                and max_clusters is None
-            ):
-                cohort_cap = (
-                    1
-                    if budget_entries is not None
-                    else self.config.seed_block_size
-                )
-                self._peel_batched(
-                    engine, schedule, all_clusters, cap, cohort_cap, stats
-                )
-            else:
-                self._peel_sequential(
-                    engine, schedule, all_clusters, cap, stats
-                )
+            self._peel(engine, all_clusters, stats)
+        # One Alg. 2 run per round: the widest cohort is a single seed.
+        stats["max_cohort"] = min(stats["lid_runs"], 1)
         dominant = [
             c
             for c in all_clusters
@@ -687,16 +617,75 @@ class ALID:
             },
         )
 
-    # ------------------------------------------------------------------
-    # peeling drivers
-    # ------------------------------------------------------------------
+    def _peel(
+        self, engine: ALIDEngine, all_clusters: list[Cluster], stats: dict
+    ) -> None:
+        """Detect, peel, reiterate until every item is peeled (§4.4).
+
+        Each round takes one :meth:`~repro.lsh.index.LSHIndex.colliding_mask`
+        and emits every seed the schedule yields without an active LSH
+        collision as a singleton at density 0: CIVS candidates come from
+        collisions only, so Alg. 2 from there provably returns the bare
+        seed without kernel work.  Peeling such a seed changes no other
+        item's collisions, so the mask holds until the round's one Alg. 2
+        run from the first colliding seed.  A seed whose detection
+        drifted away from it stays active and is picked again next round.
+        ``verify_global``'s exact scan can reach items with no LSH
+        collision, which voids the proof, so it skips the pre-filter.
+        """
+        cfg = self.config
+        index = engine.index
+        counters = engine.oracle.counters
+        schedule = SeedSchedule(index)
+        seed = schedule.next_active()
+        while seed is not None:
+            stats["seed_rounds"] += 1
+            prof = phases.active()
+            t0 = time.perf_counter() if prof is not None else 0.0
+            entries_before = counters.entries_computed
+            peeled_before = len(all_clusters)
+            if not cfg.verify_global:
+                colliding = index.colliding_mask()
+                while seed is not None and not colliding[seed]:
+                    stats["noise_prefiltered"] += 1
+                    self._emit(
+                        engine, all_clusters, seed, [seed], [1.0], 0.0
+                    )
+                    seed = schedule.next_active()
+            if seed is not None:
+                stats["lid_runs"] += 1
+                detection = engine.detect_from_seed(seed)
+                if detection.members.size:
+                    members = detection.members
+                    weights = detection.weights
+                    density = detection.density
+                else:
+                    # Degenerate: peel the seed alone so progress is made.
+                    members, weights, density = [seed], [1.0], 0.0
+                if (
+                    density < cfg.density_threshold
+                    or len(members) < cfg.min_cluster_size
+                ):
+                    stats["noise_lid_runs"] += 1
+                self._emit(
+                    engine, all_clusters, seed, members, weights, density
+                )
+                seed = schedule.next_active()
+            if prof is not None:
+                prof.record(
+                    "seed_round",
+                    wall=time.perf_counter() - t0,
+                    entries=counters.entries_computed - entries_before,
+                    seeds=len(all_clusters) - peeled_before,
+                )
+
+    @staticmethod
     def _emit(
-        self,
         engine: ALIDEngine,
         all_clusters: list[Cluster],
         seed: int,
-        members: np.ndarray,
-        weights: np.ndarray,
+        members,
+        weights,
         density: float,
     ) -> None:
         """Record one peeled cluster and deactivate its members."""
@@ -708,176 +697,4 @@ class ALID:
             seed=seed,
         )
         all_clusters.append(cluster)
-        engine.index.deactivate(members)
-
-    def _is_noise(self, members: np.ndarray, density: float) -> bool:
-        """True when a detection falls below the dominance thresholds."""
-        return (
-            density < self.config.density_threshold
-            or members.size < self.config.min_cluster_size
-        )
-
-    def _emit_detection(
-        self,
-        engine: ALIDEngine,
-        all_clusters: list[Cluster],
-        seed: int,
-        detection: _SingleDetection,
-        stats: dict,
-    ) -> None:
-        """Emit one Alg. 2 detection, with the degenerate fallback.
-
-        Shared by both drivers so the batch-vs-sequential equivalence
-        contract cannot silently desynchronize: an empty detection
-        peels the seed alone (progress guarantee), and sub-dominant
-        results are counted as noise LID runs.
-        """
-        members = detection.members
-        if members.size == 0:
-            # Degenerate: peel the seed alone so progress is made.
-            members = np.asarray([seed], dtype=np.intp)
-            weights = np.asarray([1.0])
-            density = 0.0
-        else:
-            weights = detection.weights
-            density = detection.density
-        if self._is_noise(members, density):
-            stats["noise_lid_runs"] += 1
-        self._emit(engine, all_clusters, seed, members, weights, density)
-
-    def _peel_sequential(
-        self,
-        engine: ALIDEngine,
-        schedule: SeedSchedule,
-        all_clusters: list[Cluster],
-        cap: int,
-        stats: dict,
-    ) -> None:
-        """The paper-literal §4.4 loop: one seed, one peel, repeat."""
-        while len(all_clusters) < cap:
-            seed = schedule.next_active()
-            if seed is None:
-                break
-            stats["seed_rounds"] += 1
-            stats["lid_runs"] += 1
-            stats["max_cohort"] = max(stats["max_cohort"], 1)
-            prof = phases.active()
-            t0 = time.perf_counter() if prof is not None else 0.0
-            before = engine.oracle.counters.entries_computed
-            detection = engine.detect_from_seed(seed)
-            self._emit_detection(engine, all_clusters, seed, detection, stats)
-            if prof is not None:
-                prof.record(
-                    "seed_round",
-                    wall=time.perf_counter() - t0,
-                    entries=(
-                        engine.oracle.counters.entries_computed - before
-                    ),
-                    seeds=1,
-                )
-
-    def _peel_batched(
-        self,
-        engine: ALIDEngine,
-        schedule: SeedSchedule,
-        all_clusters: list[Cluster],
-        cap: int,
-        cohort_cap: int,
-        stats: dict,
-    ) -> None:
-        """Batched seed rounds with the vectorized noise pre-filter.
-
-        Per round: (1) pull a rank-ordered block of surviving seeds,
-        (2) classify them against one fused-CSR bucket-population pass —
-        noise-isolated seeds (no active LSH collision) peel as
-        zero-work singletons without ever touching LID, (3) run the
-        longest prefix of colliding seeds whose collision components
-        are pairwise distinct as one detection cohort.  The prefix rule
-        stops at the first seed whose component was already claimed
-        this round (its detection would depend on an earlier peel), so
-        emissions follow schedule order exactly and every detection is
-        computed against the same active state the sequential driver
-        would have shown it.
-        """
-        index = engine.index
-        while len(all_clusters) < cap:
-            block = schedule.next_block(self.config.seed_block_size)
-            if block.size == 0:
-                break
-            stats["seed_rounds"] += 1
-            prof = phases.active()
-            t0 = time.perf_counter() if prof is not None else 0.0
-            entries_before = engine.oracle.counters.entries_computed
-            colliding = index.colliding_mask()
-            components: np.ndarray | None = None
-            claimed: set[int] = set()
-            cohort: list[int] = []
-            plan: list[tuple[int, bool]] = []  # (seed, prefiltered)
-            budget = cap - len(all_clusters)
-            for seed in block:
-                if len(plan) >= budget:
-                    break
-                seed = int(seed)
-                if not colliding[seed]:
-                    plan.append((seed, True))
-                    continue
-                if components is None:
-                    # Lazy: all-noise tail rounds never pay for this.
-                    components = index.collision_components()
-                component = int(components[seed])
-                if component in claimed or len(cohort) >= cohort_cap:
-                    break
-                claimed.add(component)
-                cohort.append(seed)
-                plan.append((seed, False))
-            detections = dict(
-                zip(cohort, engine.detect_cohort(cohort))
-            ) if cohort else {}
-            stats["lid_runs"] += len(cohort)
-            stats["max_cohort"] = max(stats["max_cohort"], len(cohort))
-            for seed, prefiltered in plan:
-                if len(all_clusters) >= cap:
-                    break
-                if prefiltered:
-                    # Noise-isolated: Alg. 2 from here provably returns
-                    # the bare seed at density 0 without any kernel
-                    # work, so emit that result directly.
-                    stats["noise_prefiltered"] += 1
-                    self._emit(
-                        engine,
-                        all_clusters,
-                        seed,
-                        np.asarray([seed], dtype=np.intp),
-                        np.asarray([1.0]),
-                        0.0,
-                    )
-                    continue
-                detection = detections[seed]
-                while True:
-                    self._emit_detection(
-                        engine, all_clusters, seed, detection, stats
-                    )
-                    # A detection's support can drift away from its
-                    # seed; the sequential driver then re-picks the
-                    # same (still-active) seed before advancing.
-                    # Re-running it here keeps the emission order
-                    # paper-exact — the re-run stays inside the
-                    # component this seed claimed, so no other planned
-                    # seed is affected.
-                    if (
-                        not engine.index.active_mask[seed]
-                        or len(all_clusters) >= cap
-                    ):
-                        break
-                    stats["lid_runs"] += 1
-                    detection = engine.detect_from_seed(seed)
-            if prof is not None:
-                prof.record(
-                    "seed_round",
-                    wall=time.perf_counter() - t0,
-                    entries=(
-                        engine.oracle.counters.entries_computed
-                        - entries_before
-                    ),
-                    seeds=len(plan),
-                )
+        engine.index.deactivate(cluster.members)

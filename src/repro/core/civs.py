@@ -75,11 +75,12 @@ def civs_retrieve(
         itself is always dropped — psi must contain *new* vertices only).
     candidates:
         Precomputed LSH collision union for *support* — must equal
-        ``index.query_items(support)``.  The batched peeling driver
-        passes the per-seed slice of one
+        ``index.query_items(support)``.  A seed cohort
+        (:meth:`~repro.core.alid.ALIDEngine.detect_cohort`) passes the
+        per-seed slice of one
         :meth:`~repro.lsh.index.LSHIndex.query_items_grouped` call here
-        so a whole seed cohort shares a single fused gather; ``None``
-        queries the index directly (the sequential path).
+        so the whole cohort shares a single fused gather; ``None``
+        queries the index directly.
 
     Returns
     -------

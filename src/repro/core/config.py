@@ -8,6 +8,10 @@ from repro.exceptions import ValidationError
 
 __all__ = ["ALIDConfig"]
 
+#: Retired fields that older persisted configs still carry; dropped by
+#: :meth:`ALIDConfig.from_dict`.
+_RETIRED_FIELDS = ("peel_driver", "seed_block_size")
+
 
 @dataclass(frozen=True)
 class ALIDConfig:
@@ -61,28 +65,14 @@ class ALIDConfig:
         c / rate))`` (paper Eq. 16 uses offset 4 and rate 2).
     min_cluster_size:
         Dominant clusters smaller than this are reported as noise.
-    peel_driver:
-        Which §4.4 peeling driver :meth:`repro.core.alid.ALID.fit`
-        uses.  ``"batched"`` (default) runs seed-block rounds with the
-        vectorized noise pre-filter and cohort detection — detections
-        are equivalent to the sequential peel (same clusters, in the
-        same order, with identical work accounting) but the per-seed
-        Python overhead is amortised.  ``"sequential"`` forces the
-        paper-literal one-seed-at-a-time loop (reference / debugging).
-    seed_block_size:
-        Maximum number of surviving seeds pulled from the schedule per
-        batched peeling round (upper bound on both the pre-filtered
-        block and the detection cohort).
     lid_kernel:
         Which inner-loop backend :func:`repro.dynamics.lid.lid_dynamics`
         runs (see :mod:`repro.dynamics.lid_kernel`).  ``"fused"``
         (default) executes consecutive LID periods in one run-until-miss
         pass over the column cache's resident block; ``"reference"``
-        forces the historical per-period loop (the equivalence oracle);
-        ``"numba"`` compiles the per-period step when numba is
-        installed, auto-falling back to ``"fused"`` otherwise.  All
-        backends produce bit-identical iterates, detections, and work
-        accounting.
+        forces the historical per-period loop (the equivalence oracle).
+        Both backends produce bit-identical iterates, detections, and
+        work accounting.
     verify_global:
         If True, after ROI/CIVS convergence the detector performs an exact
         full scan for remaining infective vertices (only sensible for
@@ -108,8 +98,6 @@ class ALIDConfig:
     roi_growth_offset: float = 4.0
     roi_growth_rate: float = 2.0
     min_cluster_size: int = 2
-    peel_driver: str = "batched"
-    seed_block_size: int = 256
     lid_kernel: str = "fused"
     verify_global: bool = False
     seed: int = 0
@@ -147,17 +135,33 @@ class ALIDConfig:
             raise ValidationError(
                 f"min_cluster_size must be >= 1, got {self.min_cluster_size}"
             )
-        if self.peel_driver not in ("batched", "sequential"):
+        if self.lid_kernel not in ("reference", "fused"):
             raise ValidationError(
-                f"peel_driver must be 'batched' or 'sequential', "
-                f"got {self.peel_driver!r}"
-            )
-        if self.seed_block_size < 1:
-            raise ValidationError(
-                f"seed_block_size must be >= 1, got {self.seed_block_size}"
-            )
-        if self.lid_kernel not in ("reference", "fused", "numba"):
-            raise ValidationError(
-                f"lid_kernel must be 'reference', 'fused' or 'numba', "
+                f"lid_kernel must be 'reference' or 'fused', "
                 f"got {self.lid_kernel!r}"
             )
+
+    @classmethod
+    def from_dict(cls, fields: dict) -> "ALIDConfig":
+        """Rebuild a config persisted as :func:`dataclasses.asdict`.
+
+        Snapshot manifests and WAL ``begin`` records store the config
+        this way.  Older artifacts carry the retired ``peel_driver`` and
+        ``seed_block_size`` fields, which are dropped, and may name the
+        retired ``lid_kernel="numba"`` backend, which reads as
+        ``"fused"``: it ran ``"fused"`` wherever numba was missing and
+        was bit-identical to it elsewhere.  Any other unknown field
+        raises TypeError, as the constructor does.
+        """
+        if not isinstance(fields, dict):
+            raise TypeError(
+                f"config must be a mapping, got {type(fields).__name__}"
+            )
+        fields = {
+            key: value
+            for key, value in fields.items()
+            if key not in _RETIRED_FIELDS
+        }
+        if fields.get("lid_kernel") == "numba":
+            fields["lid_kernel"] = "fused"
+        return cls(**fields)

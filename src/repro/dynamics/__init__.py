@@ -16,7 +16,6 @@ from repro.dynamics.lid import LIDState, lid_dynamics
 from repro.dynamics.lid_kernel import (
     LID_KERNELS,
     available_lid_kernels,
-    kernel_info,
     resolve_lid_kernel,
 )
 from repro.dynamics.replicator import ReplicatorResult, replicator_dynamics
@@ -36,7 +35,6 @@ __all__ = [
     "lid_dynamics",
     "LID_KERNELS",
     "available_lid_kernels",
-    "kernel_info",
     "resolve_lid_kernel",
     "ReplicatorResult",
     "replicator_dynamics",

@@ -18,8 +18,8 @@ matrix: it maintains
 Per iteration: O(|beta|) arithmetic plus at most one new column of kernel
 evaluations — exactly the paper's claimed cost.  The iteration loop
 itself runs on one of the interchangeable backends of
-:mod:`repro.dynamics.lid_kernel` (reference / fused run-until-miss /
-optional numba), all bit-identical.
+:mod:`repro.dynamics.lid_kernel` (reference / fused run-until-miss),
+both bit-identical.
 """
 
 from __future__ import annotations
@@ -244,10 +244,9 @@ def lid_dynamics(
 
     The inner loop runs on one of the interchangeable backends of
     :mod:`repro.dynamics.lid_kernel` — ``"reference"`` (the historical
-    per-period loop), ``"fused"`` (run-until-miss single-pass NumPy over
-    the cache's resident block, the default) or ``"numba"`` (optional
-    compiled step, falling back to ``"fused"`` when unavailable).  All
-    backends produce bit-identical iterates, iteration counts, work
+    per-period loop) or ``"fused"`` (run-until-miss single-pass NumPy
+    over the cache's resident block, the default).  Both backends
+    produce bit-identical iterates, iteration counts, work
     accounting, and cache recency order; per period the only kernel work
     is (at most) one column fetch through the LRU cache.
 
@@ -255,7 +254,7 @@ def lid_dynamics(
     -------
     (iterations, converged)
     """
-    runner, _ = resolve_lid_kernel(kernel)
+    runner = resolve_lid_kernel(kernel)
     prof = phases.active()
     if prof is None:
         return runner(state, max_iter, tol)

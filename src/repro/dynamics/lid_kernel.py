@@ -12,7 +12,7 @@ cache's backing matrix, and the kernel only returns to the generic
 cache machinery when the selected vertex's column is a miss (one oracle
 fetch, then re-enter).
 
-Three backends are exposed through
+Two backends are exposed through
 :class:`~repro.core.config.ALIDConfig.lid_kernel` and
 :func:`repro.dynamics.lid.lid_dynamics`:
 
@@ -24,28 +24,19 @@ Three backends are exposed through
     array instead of a per-iteration mask rebuild, stacked ``x``/``g``
     updates for shared scale factors, and LRU recency replayed in
     batches at run boundaries.
-``"numba"``
-    Optional ``@njit`` compilation of the per-period selection + update
-    step (install the ``fast`` extra).  Falls back to ``"fused"`` when
-    numba is not importable, fails to compile, or fails the start-up
-    **bit-equivalence self-check** against the fused backend — the
-    backends' contract is *identical iterates*, so a platform whose
-    compiled reductions round differently must not silently engage.
 
-All backends produce bit-identical ``x`` and ``g`` trajectories,
+Both backends produce bit-identical ``x`` and ``g`` trajectories,
 identical iteration counts, identical ``entries_computed``, and
 identical LRU recency order (pinned by
 ``tests/test_dynamics_lid_kernel.py``), so detections and the Fig. 9
-eviction behaviour are backend-independent.  The fused and numba
-backends require a clean starting point (finite ``g``, non-negative
+eviction behaviour are backend-independent.  The fused backend
+requires a clean starting point (finite ``g``, non-negative
 ``x`` without negative zeros — everything the ALID driver produces);
 anything else delegates to the reference loop, whose semantics on
 degenerate input are the contract.
 """
 
 from __future__ import annotations
-
-import warnings
 
 import numpy as np
 
@@ -55,15 +46,13 @@ from repro.exceptions import ValidationError
 __all__ = [
     "LID_KERNELS",
     "available_lid_kernels",
-    "kernel_info",
     "resolve_lid_kernel",
     "run_fused",
-    "run_numba",
     "run_reference",
 ]
 
 #: The recognised backend names, in documentation order.
-LID_KERNELS = ("reference", "fused", "numba")
+LID_KERNELS = ("reference", "fused")
 
 _INF = np.inf
 
@@ -78,39 +67,17 @@ def available_lid_kernels() -> tuple[str, ...]:
     return LID_KERNELS
 
 
-def kernel_info(name: str) -> dict:
-    """Describe how backend *name* resolves on this machine.
+def resolve_lid_kernel(name: str):
+    """Map a backend name to its runner.
 
-    Returns a dict with ``requested`` (the name passed in), ``resolved``
-    (the backend that actually runs) and ``reason`` (why a fallback was
-    taken, or None).  ``"numba"`` resolves to ``"fused"`` when numba is
-    missing, will not compile, or fails the bit-equivalence self-check.
+    The runner has the signature
+    ``runner(state, max_iter, tol) -> (iterations, converged)``.
     """
     if name not in LID_KERNELS:
         raise ValidationError(
             f"lid_kernel must be one of {LID_KERNELS}, got {name!r}"
         )
-    if name != "numba":
-        return {"requested": name, "resolved": name, "reason": None}
-    step = _numba_step()
-    if step is None:
-        return {
-            "requested": "numba",
-            "resolved": "fused",
-            "reason": _NUMBA_STATE["reason"],
-        }
-    return {"requested": "numba", "resolved": "numba", "reason": None}
-
-
-def resolve_lid_kernel(name: str):
-    """Map a backend name to its runner, applying the numba fallback.
-
-    Returns ``(runner, resolved_name)`` where *runner* has the signature
-    ``runner(state, max_iter, tol) -> (iterations, converged)``.
-    """
-    info = kernel_info(name)
-    resolved = info["resolved"]
-    return _RUNNERS[resolved], resolved
+    return _RUNNERS[name]
 
 
 # ----------------------------------------------------------------------
@@ -120,8 +87,8 @@ def run_reference(state, max_iter: int, tol: float) -> tuple[int, bool]:
     """Run LID periods with the original per-iteration loop.
 
     One cache lookup (:meth:`LIDState.column`) and ~12 small NumPy ops
-    per period.  Kept verbatim as the oracle the fused/compiled
-    backends are pinned against.
+    per period.  Kept verbatim as the oracle the fused backend is
+    pinned against.
     """
     x = state.x
     g = state.g
@@ -177,7 +144,7 @@ def run_reference(state, max_iter: int, tol: float) -> tuple[int, bool]:
 # shared run-until-miss machinery
 # ----------------------------------------------------------------------
 def _clean_start(x: np.ndarray, g: np.ndarray) -> bool:
-    """True when the fast backends' preconditions hold.
+    """True when the fused backend's preconditions hold.
 
     The fused loop skips the reference's per-iteration clamp
     (``maximum(x, 0)``) because the updates provably cannot produce a
@@ -196,7 +163,7 @@ def _clean_start(x: np.ndarray, g: np.ndarray) -> bool:
 
 
 class _RecencyReplay:
-    """Batched LRU-touch replay for the run-until-miss backends.
+    """Batched LRU-touch replay for the run-until-miss backend.
 
     The reference loop touches the selected column on every period; the
     fused loop must leave the cache's recency order in the identical
@@ -238,13 +205,6 @@ class _RecencyReplay:
             touched = [int(j) for j in rev[np.sort(first)][::-1]]
         self.cache.touch_sequence(touched)
         hits.clear()
-
-
-def _writeback(state, x: np.ndarray, g: np.ndarray, replay) -> None:
-    """Publish kernel-local buffers back onto the state."""
-    replay.flush()
-    state.x = x.copy()
-    state.g = g.copy()
 
 
 # ----------------------------------------------------------------------
@@ -386,223 +346,13 @@ def run_fused(state, max_iter: int, tol: float) -> tuple[int, bool]:
         # Publish progress even when the miss fetch raises (budget
         # exhaustion): the reference loop mutates in place, so partial
         # trajectories must survive the exception identically.
-        _writeback(state, x, g, replay)
+        replay.flush()
+        state.x = x.copy()
+        state.g = g.copy()
     return it, converged
-
-
-# ----------------------------------------------------------------------
-# numba backend (optional compiled selection + update step)
-# ----------------------------------------------------------------------
-def _lid_step(buf, slots, x, g, d, tol):  # pragma: no cover - njit source
-    """One LID period over the resident block (numba-compiled source).
-
-    Selection and update only — the two reductions whose bit patterns
-    depend on the summation algorithm (the ``x . g`` density and the
-    hygiene sum) stay outside, computed by NumPy between steps, so every
-    arithmetic op here is an elementwise IEEE op or a comparison and the
-    compiled trajectory matches the NumPy backends bit for bit.
-
-    Returns ``(code, pos)`` with code 0 = converged, 1 = cache miss at
-    ``pos`` (no update applied), 2 = updated with column ``slots[pos]``.
-    """
-    m = x.shape[0]
-    i1 = 0
-    smax = g[0] - d
-    i2 = -1
-    smin = np.inf
-    for i in range(m):
-        si = g[i] - d
-        if si > smax:
-            smax = si
-            i1 = i
-        if x[i] > 0.0 and si < smin:
-            smin = si
-            i2 = i
-    s_inf = smax
-    s_sup = -smin if i2 >= 0 else -np.inf
-    if s_inf >= s_sup:
-        best = s_inf
-        if s_inf > s_sup or i1 < i2:
-            pos = i1
-        else:
-            pos = i2
-    else:
-        best = s_sup
-        pos = i2
-    if best <= tol:
-        return 0, pos
-    slot = slots[pos]
-    if slot < 0:
-        return 1, pos
-    col = buf[slot]
-    g_pos = g[pos]
-    pay_i = g_pos - d
-    quad_i = -2.0 * g_pos + d
-    if pay_i > 0.0:
-        if quad_i < 0.0:
-            eps = -pay_i / quad_i
-            if eps > 1.0:
-                eps = 1.0
-        else:
-            eps = 1.0
-        ce = 1.0 - eps
-        for i in range(m):
-            x[i] = x[i] * ce
-            t1 = g[i] * ce
-            t2 = eps * col[i]
-            g[i] = t1 + t2
-        x[pos] = x[pos] + eps
-    else:
-        xi = x[pos]
-        mu = xi / (xi - 1.0)
-        pay_diff = mu * pay_i
-        pay_quad = mu * mu * quad_i
-        if pay_quad < 0.0:
-            eps = -pay_diff / pay_quad
-            if eps > 1.0:
-                eps = 1.0
-        else:
-            eps = 1.0
-        emu = eps * mu
-        cx = 1.0 - emu
-        for i in range(m):
-            x[i] = x[i] * cx
-            t1 = col[i] - g[i]
-            t2 = emu * t1
-            g[i] = g[i] + t2
-        x[pos] = (1.0 - eps) * xi
-    return 2, pos
-
-
-_NUMBA_STATE: dict = {"checked": False, "step": None, "reason": None}
-
-
-def _numba_step():
-    """Compile (once) and self-check the njit step, or record why not."""
-    if _NUMBA_STATE["checked"]:
-        return _NUMBA_STATE["step"]
-    _NUMBA_STATE["checked"] = True
-    try:
-        import numba
-    except ImportError:
-        _NUMBA_STATE["reason"] = "numba is not installed"
-        return None
-    try:
-        step = numba.njit(cache=False, fastmath=False)(_lid_step)
-        if not _self_check(step):
-            _NUMBA_STATE["reason"] = (
-                "compiled step failed the bit-equivalence self-check "
-                "against the fused backend on this platform"
-            )
-            warnings.warn(
-                "repro.dynamics.lid_kernel: " + _NUMBA_STATE["reason"]
-                + "; lid_kernel='numba' falls back to 'fused'",
-                RuntimeWarning,
-                stacklevel=3,
-            )
-            return None
-    except Exception as exc:  # pragma: no cover - depends on numba build
-        _NUMBA_STATE["reason"] = f"numba compilation failed: {exc}"
-        warnings.warn(
-            "repro.dynamics.lid_kernel: " + _NUMBA_STATE["reason"]
-            + "; lid_kernel='numba' falls back to 'fused'",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-        return None
-    _NUMBA_STATE["step"] = step
-    return step
-
-
-def _self_check(step) -> bool:
-    """Compare the compiled step against the fused backend, bit for bit."""
-    from repro.affinity.kernel import LaplacianKernel
-    from repro.affinity.oracle import AffinityOracle
-    from repro.dynamics.lid import LIDState
-
-    for seed, n, beta_n in ((0, 40, 24), (1, 60, 60), (2, 50, 7)):
-        rng = np.random.default_rng(seed)
-        data = rng.normal(size=(n, 6))
-        beta = np.sort(rng.choice(n, size=beta_n, replace=False)).astype(np.intp)
-        results = []
-        for runner in (run_fused, lambda st, mi, t: _run_stepped(st, mi, t, step)):
-            oracle = AffinityOracle(data, LaplacianKernel(k=1.0, p=2.0))
-            x = np.full(beta_n, 1.0 / beta_n)
-            st = LIDState(oracle, beta, x, np.zeros(beta_n))
-            st.g = st.recompute_g()
-            out = runner(st, 200, 1e-7)
-            results.append(
-                (out, st.x.copy(), st.g.copy(),
-                 oracle.counters.entries_computed)
-            )
-            st.release()
-        (o1, x1, g1, e1), (o2, x2, g2, e2) = results
-        if not (
-            o1 == o2
-            and e1 == e2
-            and np.array_equal(x1, x2)
-            and np.array_equal(g1, g2)
-        ):
-            return False
-    return True
-
-
-def _run_stepped(state, max_iter: int, tol: float, step) -> tuple[int, bool]:
-    """Run-until-miss loop driving the compiled per-period *step*."""
-    if not _clean_start(state.x, state.g):
-        return run_reference(state, max_iter, tol)
-    cache = state._cache
-    beta = state.beta
-    x = state.x.copy()
-    g = state.g.copy()
-    replay = _RecencyReplay(cache, beta)
-    hits_append = replay.hits.append
-    x_dot = x.dot
-    x_sum = x.sum
-    buf, slots = cache.resident_view()
-    it = 0
-    converged = False
-    try:
-        while it < max_iter:
-            it += 1
-            d = float(x_dot(g))
-            code, pos = step(buf, slots, x, g, d, tol)
-            while code == 1:
-                replay.flush()
-                prev_cols = cache.n_columns
-                j = int(beta[pos])
-                cache.get(j)
-                if cache._buf is buf and cache.n_columns == prev_cols + 1:
-                    slots[pos] = cache.slot_index(j)
-                else:
-                    buf, slots = cache.resident_view()
-                code, pos = step(buf, slots, x, g, d, tol)
-            if code == 0:
-                converged = True
-                it -= 1
-                break
-            if len(replay.hits) >= _REPLAY_FLUSH:
-                replay.flush()
-            hits_append(int(pos))
-            total = float(x_sum())
-            if abs(total - 1.0) > 1e-9 and total > 0.0:
-                x /= total
-                g /= total
-    finally:
-        _writeback(state, x, g, replay)
-    return it, converged
-
-
-def run_numba(state, max_iter: int, tol: float) -> tuple[int, bool]:
-    """Run LID periods through the compiled step, or the fused fallback."""
-    step = _numba_step()
-    if step is None:
-        return run_fused(state, max_iter, tol)
-    return _run_stepped(state, max_iter, tol, step)
 
 
 _RUNNERS = {
     "reference": run_reference,
     "fused": run_fused,
-    "numba": run_numba,
 }

@@ -31,12 +31,12 @@ Implementation notes
   from a hit.
 * Peeling (paper §4.4) uses an *active mask*: peeled items stay in the
   tables but are filtered out of every query — O(1) per peel, no rebuild.
-* The batched peeling driver reads the collision *structure* directly:
+* The collision *structure* is read directly:
   :meth:`LSHIndex.active_bucket_populations` (one ``reduceat`` over the
-  fused CSR), :meth:`LSHIndex.colliding_mask` (noise pre-filter),
-  :meth:`LSHIndex.collision_components` (independent-seed cohorts) and
-  :meth:`LSHIndex.query_items_grouped` (one gather serving a whole seed
-  cohort's CIVS queries).
+  fused CSR), :meth:`LSHIndex.colliding_mask` (the peeling loop's noise
+  pre-filter), :meth:`LSHIndex.collision_components` (the ingest tier's
+  re-peel units) and :meth:`LSHIndex.query_items_grouped` (one gather
+  serving a PALID seed cohort's CIVS queries).
 """
 
 from __future__ import annotations
@@ -493,12 +493,12 @@ class LSHIndex:
         """Run :meth:`query_items` for several index sets in one fused pass.
 
         This is the seed-block form of the CIVS multi-query pattern: a
-        cohort of concurrently peeled seeds issues one grouped retrieval
-        instead of one :meth:`query_items` call per seed.  Buckets of
-        every group are gathered together, then candidates are
-        deduplicated *per group* with a single ``np.unique`` over
-        ``group_id * n + item`` keys — no Python loop over tables or
-        candidates.
+        cohort of seeds driven in lockstep (PALID's mappers) issues one
+        grouped retrieval instead of one :meth:`query_items` call per
+        seed.  Buckets of every group are gathered together, then
+        candidates are deduplicated *per group* with a single
+        ``np.unique`` over ``group_id * n + item`` keys — no Python loop
+        over tables or candidates.
 
         Parameters
         ----------
@@ -925,9 +925,8 @@ class LSHIndex:
         single ``np.add.reduceat`` over the active flags yields the
         population of **every bucket of every table** without touching
         per-table Python.  This is the bucket-population primitive the
-        batched peeling driver's noise pre-filter is built on (§4.4 /
-        §4.6: items in small buckets are unlikely dominant-cluster
-        members).
+        peeling loop's noise pre-filter is built on (§4.4 / §4.6: items
+        in small buckets are unlikely dominant-cluster members).
 
         Returns
         -------
@@ -950,7 +949,10 @@ class LSHIndex:
         where it is False are *noise-isolated*: an Alg. 2 run seeded
         there can never retrieve anything (CIVS candidates come from
         LSH collisions only) and provably peels as a zero-work
-        singleton.  One fused bucket-population pass, no queries.
+        singleton.  Deactivating such an item leaves every other
+        item's entry unchanged, so the peeling loop reuses one mask
+        while it peels isolated seeds.  One fused bucket-population
+        pass, no queries.
         """
         populations = self.active_bucket_populations()
         if populations.size == 0:
@@ -964,9 +966,10 @@ class LSHIndex:
         Two active items are connected when they share a bucket in any
         table; components are the transitive closure.  A seeded Alg. 2
         run can only ever reach items inside its seed's component
-        (CIVS retrieval is LSH-collision-bound), so seeds in distinct
-        components peel independently — the invariant the batched
-        driver uses to build conflict-free seed cohorts.
+        (CIVS retrieval is LSH-collision-bound), so a change to one
+        component leaves runs seeded in the others unaffected — the
+        invariant the ingest tier uses to re-peel only dirty
+        components.
 
         Returns
         -------

@@ -28,9 +28,8 @@ they never change iteration order, accounting
 
 Activation is process-global (one fit is profiled at a time; nested
 activations stack).  The profiler is intentionally not thread-local:
-the batched peeling driver and the streaming re-peel thread both record
-into whichever profiler is active, which is what a whole-fit profile
-wants.
+the peeling loop and the streaming re-peel thread both record into
+whichever profiler is active, which is what a whole-fit profile wants.
 """
 
 from __future__ import annotations
@@ -46,7 +45,7 @@ __all__ = ["PHASES", "PhaseProfiler", "active"]
 #: Phase keys and the paper anchor each one accounts for.
 PHASES = {
     "lid": "Alg. 1 — LID dynamics runs (periods, wall, entries)",
-    "seed_round": "Alg. 2 — peeling-driver rounds of seeded detections",
+    "seed_round": "Alg. 2 — peeling rounds (pre-filter + one detection)",
     "civs": "Alg. 2 Step 3 — CIVS candidate gather (Fig. 4)",
     "extend": "Eq. 17 — local-range extension of the payoff state",
     "cache": "§4.5 — ColumnBlockCache hits / misses / evictions",

@@ -695,7 +695,7 @@ class IngestService:
                 f"record; nothing to recover from"
             )
         try:
-            config = ALIDConfig(**records[0].meta["config"])
+            config = ALIDConfig.from_dict(records[0].meta["config"])
         except (KeyError, TypeError, ValueError) as exc:
             raise WALError(
                 f"{wal_path}: begin record carries an invalid config: "

@@ -505,7 +505,7 @@ class DetectionSnapshot:
             for name in _REQUIRED_ARRAYS
         }
         try:
-            config = ALIDConfig(**manifest["config"])
+            config = ALIDConfig.from_dict(manifest["config"])
             kernel = LaplacianKernel(
                 k=float(manifest["kernel"]["k"]),
                 p=float(manifest["kernel"]["p"]),

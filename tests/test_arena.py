@@ -144,7 +144,6 @@ class TestRegistry:
         registry = default_registry()
         assert "alid-reference" in registry
         assert "alid-fused" in registry
-        assert "alid-numba" not in registry  # silent fallback would dupe
         for name in ("alid-reference", "alid-fused"):
             assert registry[name].family == "alid"
 

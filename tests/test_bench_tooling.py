@@ -245,7 +245,7 @@ class TestKernelLaneGates:
         )
         lane = baseline["workloads"]["lid_kernel_tiny"]
         assert lane["entries_identical"] is True
-        assert set(lane["backends"]) == {"reference", "fused", "numba"}
+        assert set(lane["backends"]) == {"reference", "fused"}
         assert lane["fused_speedup"] >= 1.5
 
 

@@ -180,11 +180,6 @@ class TestALIDFit:
         detector.fit(data)
         assert detector.engine_.oracle.counters.entries_stored_current == 0
 
-    def test_max_clusters_cap(self, blob_data, blob_config):
-        data, _ = blob_data
-        result = ALID(blob_config).fit(data, max_clusters=1)
-        assert len(result.all_clusters) == 1
-
     def test_deterministic_given_seed(self, blob_data, blob_config):
         data, _ = blob_data
         r1 = ALID(blob_config).fit(data)

@@ -1,5 +1,7 @@
 """Unit tests for ALIDConfig validation."""
 
+import dataclasses
+
 import pytest
 
 from repro.core.config import ALIDConfig
@@ -57,3 +59,41 @@ class TestALIDConfig:
     def test_rejects_bad_min_cluster_size(self):
         with pytest.raises(ValidationError):
             ALIDConfig(min_cluster_size=0)
+
+
+def legacy_config_dict(config: ALIDConfig, **overrides) -> dict:
+    """``asdict`` of *config* as written while ALIDConfig still carried
+    the ``peel_driver`` and ``seed_block_size`` fields."""
+    fields = dataclasses.asdict(config)
+    fields.update(peel_driver="batched", seed_block_size=256)
+    fields.update(overrides)
+    return fields
+
+
+class TestFromDict:
+    def test_round_trips_asdict(self):
+        cfg = ALIDConfig(delta=123, seed=4, extras={"civs_single_query": True})
+        loaded = ALIDConfig.from_dict(dataclasses.asdict(cfg))
+        assert loaded == cfg
+        assert loaded.extras == cfg.extras
+
+    def test_drops_retired_fields(self):
+        cfg = ALIDConfig(delta=200, seed=11)
+        assert ALIDConfig.from_dict(legacy_config_dict(cfg)) == cfg
+
+    def test_numba_kernel_reads_as_fused(self):
+        cfg = ALIDConfig(seed=3)
+        legacy = legacy_config_dict(cfg, lid_kernel="numba")
+        loaded = ALIDConfig.from_dict(legacy)
+        assert loaded.lid_kernel == "fused"
+        assert loaded == cfg
+        assert legacy["lid_kernel"] == "numba"  # input left untouched
+
+    def test_other_unknown_field_rejected(self):
+        legacy = legacy_config_dict(ALIDConfig(), warp_factor=9)
+        with pytest.raises(TypeError):
+            ALIDConfig.from_dict(legacy)
+
+    def test_non_mapping_rejected(self):
+        with pytest.raises(TypeError):
+            ALIDConfig.from_dict(["delta", 5])

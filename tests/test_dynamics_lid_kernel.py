@@ -20,7 +20,6 @@ from repro.dynamics.lid import LIDState, lid_dynamics
 from repro.dynamics.lid_kernel import (
     LID_KERNELS,
     available_lid_kernels,
-    kernel_info,
     resolve_lid_kernel,
 )
 from repro.exceptions import BudgetExceededError, ValidationError
@@ -75,26 +74,13 @@ def _assert_identical(reference, candidate, label):
 
 class TestBackendRegistry:
     def test_available_kernels(self):
-        assert available_lid_kernels() == ("reference", "fused", "numba")
-
-    def test_kernel_info_identity_backends(self):
-        for name in ("reference", "fused"):
-            info = kernel_info(name)
-            assert info == {
-                "requested": name, "resolved": name, "reason": None
-            }
-
-    def test_kernel_info_numba_fallback_reason(self):
-        info = kernel_info("numba")
-        assert info["requested"] == "numba"
-        if info["resolved"] == "fused":
-            assert info["reason"]
-        else:
-            assert info["resolved"] == "numba" and info["reason"] is None
+        assert available_lid_kernels() == ("reference", "fused")
 
     def test_unknown_kernel_rejected(self):
         with pytest.raises(ValidationError):
-            kernel_info("simd")
+            resolve_lid_kernel("simd")
+        with pytest.raises(ValidationError):
+            resolve_lid_kernel("numba")
         with pytest.raises(ValidationError):
             resolve_lid_kernel("")
 
@@ -108,8 +94,9 @@ class TestBackendRegistry:
     def test_config_validates_lid_kernel(self):
         for name in LID_KERNELS:
             assert ALIDConfig(lid_kernel=name).lid_kernel == name
-        with pytest.raises(ValidationError):
-            ALIDConfig(lid_kernel="vectorized")
+        for name in ("vectorized", "numba"):
+            with pytest.raises(ValidationError):
+                ALIDConfig(lid_kernel=name)
 
 
 class TestEquivalenceMatrix:

@@ -101,7 +101,8 @@ class TestFitHooks:
 
     def test_seed_round_entries_cover_all_fit_work(self, mixture):
         """Every affinity entry the fit computes is charged inside some
-        peeling round, so the seed_round phase totals the fit's work."""
+        peeling round, so the seed_round phase totals the fit's work;
+        one record per round, and every peel falls inside one."""
         prof = PhaseProfiler()
         with prof:
             result = ALID(ALIDConfig(seed=3)).fit(mixture.data)
@@ -110,6 +111,8 @@ class TestFitHooks:
             summary["seed_round"]["entries"]
             == result.counters.entries_computed
         )
+        assert summary["seed_round"]["calls"] == result.metadata["seed_rounds"]
+        assert summary["seed_round"]["seeds"] == len(result.all_clusters)
 
     def test_profiler_does_not_change_the_fit(self, mixture):
         plain = ALID(ALIDConfig(seed=3)).fit(mixture.data)
@@ -130,12 +133,3 @@ class TestFitHooks:
         cache = prof.summary()["cache"]
         assert cache["hits"] > 0
         assert cache["misses"] > 0
-
-    def test_sequential_driver_also_hooked(self, mixture):
-        """max_clusters forces the sequential peel; phases still record."""
-        prof = PhaseProfiler()
-        with prof:
-            ALID(ALIDConfig(seed=3)).fit(mixture.data, max_clusters=2)
-        summary = prof.summary()
-        assert summary["seed_round"]["calls"] > 0
-        assert summary["lid"]["calls"] > 0

@@ -420,6 +420,58 @@ class TestCrashRecovery:
             IngestService.recover(tmp_path / "j.wal")
 
 
+class TestLegacyBeginRecord:
+    """Journals whose begin record carries the retired config fields."""
+
+    def _legacy_journal(self, batches, root, **config_fields):
+        """Journal the scripted run, then rewrite its begin record."""
+        clean = _scripted_run(
+            batches, root, wal=WriteAheadLog(root / "ingest.wal")
+        )
+        clean.close()
+        records, _, _ = read_records(root / "ingest.wal")
+        config = dict(records[0].meta["config"], **config_fields)
+        with WriteAheadLog(root / "legacy.wal") as wal:
+            wal.append("begin", meta={"config": config})
+            for record in records[1:]:
+                wal.append(record.kind, meta=record.meta, arrays=record.arrays)
+        return root / "legacy.wal"
+
+    def test_recovers_identical_to_a_clean_run(self, batches, tmp_path):
+        root = tmp_path / "chain"
+        legacy = self._legacy_journal(
+            batches,
+            root,
+            peel_driver="batched",
+            seed_block_size=256,
+            lid_kernel="numba",
+        )
+        service = IngestService.recover(legacy, root)
+        ref = _scripted_run(batches, tmp_path / "ref")
+        try:
+            assert service.stream.config == ref.stream.config
+            _assert_streams_identical(service.stream, ref.stream)
+            want = ClusterService(ref.stream.to_snapshot()).assign(
+                batches["queries"]
+            )
+            got = ClusterService(service.stream.to_snapshot()).assign(
+                batches["queries"]
+            )
+            assert np.array_equal(got.labels, want.labels)
+            assert np.array_equal(got.scores, want.scores)
+        finally:
+            ref.close()
+            service.close()
+
+    def test_other_unknown_field_is_typed_error(self, batches, tmp_path):
+        root = tmp_path / "chain"
+        legacy = self._legacy_journal(
+            batches, root, peel_driver="batched", warp=1
+        )
+        with pytest.raises(WALError, match="config"):
+            IngestService.recover(legacy, root)
+
+
 class TestPublishCrash:
     def test_crash_mid_base_save_leaves_no_manifest(
         self, batches, tmp_path

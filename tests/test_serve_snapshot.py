@@ -243,6 +243,41 @@ class TestIntegrityFailures:
             DetectionSnapshot.load(tmp_path / "nope")
 
 
+class TestLegacyManifest:
+    """Manifests whose config dict still carries the retired fields."""
+
+    def _rewrite_config(self, snapshot_dir, **fields) -> None:
+        path = snapshot_dir / MANIFEST_NAME
+        manifest = json.loads(path.read_text())
+        manifest["config"].update(fields)
+        path.write_text(json.dumps(manifest))
+
+    @pytest.mark.parametrize("lid_kernel", ["fused", "numba"])
+    def test_loads_and_answers_like_a_fresh_snapshot(
+        self, snapshot_dir, query_block, lid_kernel
+    ):
+        fresh = DetectionSnapshot.load(snapshot_dir)
+        self._rewrite_config(
+            snapshot_dir,
+            peel_driver="batched",
+            seed_block_size=256,
+            lid_kernel=lid_kernel,
+        )
+        legacy = DetectionSnapshot.load(snapshot_dir)
+        assert legacy.config == fresh.config
+        assert legacy.config.lid_kernel == "fused"
+        want = ClusterAssigner(fresh).assign(query_block)
+        got = ClusterAssigner(legacy).assign(query_block)
+        assert np.array_equal(got.labels, want.labels)
+        assert np.array_equal(got.scores, want.scores)
+        assert got.entries_computed == want.entries_computed
+
+    def test_other_unknown_field_is_typed_error(self, snapshot_dir):
+        self._rewrite_config(snapshot_dir, peel_driver="batched", warp=1)
+        with pytest.raises(SnapshotError, match="config"):
+            DetectionSnapshot.load(snapshot_dir)
+
+
 class TestSnapshotShape:
     def test_manifest_records_every_array(self, snapshot_dir):
         manifest = json.loads((snapshot_dir / MANIFEST_NAME).read_text())

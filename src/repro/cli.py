@@ -639,40 +639,53 @@ def _cmd_shard(args) -> int:
     return 0
 
 
+def _connect_snapshot(stack, args, *, on_worker_error="raise", **hooks):
+    """Open ``args.snapshot`` through :func:`repro.serve.connect`.
+
+    A shard plan directory serves with its planned shard count (workers
+    always mmap their shards; ``--workers`` is ignored), ``--workers N``
+    shards a snapshot on the fly into a managed scratch plan, and
+    anything else serves in-process (``--mmap`` applies there).
+    ``on_worker_error`` reaches a sharded pool only; ``hooks``
+    (``registry`` / ``tracer``) reach either backend.  The handle closes
+    with *stack*.
+    """
+    import pathlib
+
+    from repro.serve import connect
+
+    plan_dir = (pathlib.Path(args.snapshot) / "plan.json").is_file()
+    if plan_dir and args.workers > 1:
+        print(
+            f"note: {args.snapshot} is a shard plan; serving with its "
+            f"planned shard count, --workers ignored",
+            file=sys.stderr,
+        )
+    if plan_dir or args.workers > 1:
+        hooks["on_worker_error"] = on_worker_error
+    return stack.enter_context(
+        connect(
+            args.snapshot,
+            workers=None if plan_dir else args.workers,
+            mmap=args.mmap,
+            **hooks,
+        )
+    )
+
+
 def _cmd_assign(args) -> int:
     import contextlib
-    import pathlib
     import time
 
     import numpy as np
 
-    from repro.serve import connect
-
     queries = load_dataset(args.queries).data
     with contextlib.ExitStack() as stack:
-        if (pathlib.Path(args.snapshot) / "plan.json").is_file():
-            # A shard plan directory: serve it with its own worker pool
-            # (its shard count is baked in at planning time; workers
-            # always mmap their shards).
-            if args.workers > 1:
-                print(
-                    f"note: {args.snapshot} is a shard plan; serving with "
-                    f"its planned shard count, --workers ignored"
-                )
-            service = stack.enter_context(connect(args.snapshot))
-            served_by = f"{service.n_shards} shard worker(s)"
-        elif args.workers > 1:
-            # connect() shards the snapshot on the fly into a managed
-            # scratch plan (removed again when the handle closes).
-            service = stack.enter_context(
-                connect(args.snapshot, workers=args.workers)
-            )
-            served_by = f"{service.n_shards} shard worker(s)"
-        else:
-            service = stack.enter_context(
-                connect(args.snapshot, mmap=args.mmap)
-            )
-            served_by = "1 process"
+        service = _connect_snapshot(stack, args)
+        n_shards = getattr(service, "n_shards", None)
+        served_by = (
+            "1 process" if n_shards is None else f"{n_shards} shard worker(s)"
+        )
         start = time.perf_counter()
         assignment = service.assign(queries, shortlist=args.shortlist)
         wall = max(time.perf_counter() - start, 1e-9)
@@ -749,27 +762,9 @@ def _connect_traffic_service(stack, args, **hooks):
     must not fail whole batches for one lost shard.  ``hooks`` forwards
     ``registry`` / ``tracer`` to the backend.
     """
-    import pathlib
+    from repro.serve import ShardSupervisor
 
-    from repro.serve import ShardSupervisor, connect
-
-    if (pathlib.Path(args.snapshot) / "plan.json").is_file():
-        service = stack.enter_context(
-            connect(args.snapshot, on_worker_error="skip", **hooks)
-        )
-    elif args.workers > 1:
-        service = stack.enter_context(
-            connect(
-                args.snapshot,
-                workers=args.workers,
-                on_worker_error="skip",
-                **hooks,
-            )
-        )
-    else:
-        service = stack.enter_context(
-            connect(args.snapshot, mmap=args.mmap, **hooks)
-        )
+    service = _connect_snapshot(stack, args, on_worker_error="skip", **hooks)
     if hasattr(service, "heal"):
         stack.enter_context(ShardSupervisor(service, interval=0.1))
     elif args.kill_shard is not None:
@@ -915,12 +910,10 @@ def _cmd_trace(args) -> int:
 
 def _cmd_stats(args) -> int:
     import contextlib
-    import pathlib
 
     import numpy as np
 
     from repro.obs.metrics import MetricsRegistry
-    from repro.serve import connect
 
     if args.batches < 1:
         raise ValidationError(
@@ -929,19 +922,7 @@ def _cmd_stats(args) -> int:
     registry = MetricsRegistry()
     queries = load_dataset(args.queries).data
     with contextlib.ExitStack() as stack:
-        if (pathlib.Path(args.snapshot) / "plan.json").is_file():
-            service = stack.enter_context(
-                connect(args.snapshot, registry=registry)
-            )
-        elif args.workers > 1:
-            service = stack.enter_context(
-                connect(args.snapshot, workers=args.workers,
-                        registry=registry)
-            )
-        else:
-            service = stack.enter_context(
-                connect(args.snapshot, mmap=args.mmap, registry=registry)
-            )
+        service = _connect_snapshot(stack, args, registry=registry)
         n_batches = max(1, min(args.batches, queries.shape[0]))
         for block in np.array_split(queries, n_batches):
             if block.shape[0]:

@@ -48,12 +48,12 @@ __all__ = ["ClusterService", "SERVING_STATS_SCHEMA"]
 #: derive from: ``(stats key, backing metric, help, flags)``.  Flags:
 #: ``"derived"`` — computed from other fields (no backing counter);
 #: ``"lifetime"`` — present only at the top-level (lifetime) scope;
-#: ``"degraded"`` — emitted only when the caller asks for the degraded
-#: fields (both fronts do, so the schemas cannot drift; the
-#: single-process service simply never advances them);
 #: ``"gauge"`` — current-state value backed by a registry gauge (set at
 #: install/reload, identical in both scopes — gauges describe the
-#: served snapshot, not an accumulation since some point).  The parity
+#: served snapshot, not an accumulation since some point).  Both fronts
+#: render every row; the single-process service never advances the
+#: degraded-mode ones (``degraded_batches``, ``respawns``,
+#: ``healed_shards``), so its stats keep the sharded keys.  The parity
 #: test in ``tests/test_serve_faults.py`` checks the *rendered* dicts;
 #: this table is why the check can't silently rot.
 SERVING_STATS_SCHEMA = (
@@ -88,19 +88,19 @@ SERVING_STATS_SCHEMA = (
         "degraded_batches",
         "serve_degraded_batches_total",
         "Batches served with at least one shard missing",
-        "degraded",
+        "",
     ),
     (
         "respawns",
         "serve_respawns_total",
         "Replacement shard workers spawned by heals",
-        "degraded",
+        "",
     ),
     (
         "healed_shards",
         "serve_healed_shards_total",
         "Shards returned to the pool by heals",
-        "degraded",
+        "",
     ),
 )
 
@@ -206,18 +206,16 @@ class _ServingCounters:
         self._quality_labels = fresh
         self._gauges["quality_clusters"].set(len(quality or {}))
 
-    def record_heal(self, n_workers: int, n_shards: int) -> None:
-        """Account one successful heal (checkpoint stays put).
+    def record_heal(self, n_shards: int) -> None:
+        """Account one heal of *n_shards* shards (checkpoint stays put).
 
-        ``n_workers`` counts replacement worker processes spawned;
-        ``n_shards`` counts shards returned to the serving pool (equal
-        today — one worker per shard — but kept distinct so a future
-        split-shard planner can heal partially).
+        One replacement worker per shard, so ``respawns`` and
+        ``healed_shards`` advance together.
         """
-        self._counters["respawns"].inc(int(n_workers))
+        self._counters["respawns"].inc(int(n_shards))
         self._counters["healed_shards"].inc(int(n_shards))
 
-    def _render(self, snapshot_scope: bool, with_degraded: bool) -> dict:
+    def _render(self, snapshot_scope: bool) -> dict:
         """Render one scope from :data:`SERVING_STATS_SCHEMA`."""
         values = {
             key: (
@@ -231,8 +229,6 @@ class _ServingCounters:
         for key, metric, _help, flags in SERVING_STATS_SCHEMA:
             if flags == "lifetime" and snapshot_scope:
                 continue
-            if flags == "degraded" and not with_degraded:
-                continue
             if flags == "gauge":
                 out[key] = self._gauges[key].value
             elif flags == "derived":
@@ -245,13 +241,13 @@ class _ServingCounters:
                 out[key] = values[key]
         return out
 
-    def lifetime_dict(self, *, with_degraded: bool = False) -> dict:
+    def lifetime_dict(self) -> dict:
         """The top-level (lifetime) stats fields."""
-        return self._render(False, with_degraded)
+        return self._render(False)
 
-    def snapshot_dict(self, *, with_degraded: bool = False) -> dict:
+    def snapshot_dict(self) -> dict:
         """The nested per-snapshot stats block."""
-        return self._render(True, with_degraded)
+        return self._render(True)
 
 
 class ClusterService:
@@ -315,7 +311,12 @@ class ClusterService:
 
     # ------------------------------------------------------------------
     def _install(self, source, mmap: bool) -> None:
-        """Load + validate a snapshot fully, then swap it in atomically."""
+        """Load + validate a snapshot fully, then swap it in atomically.
+
+        The swap re-checks :meth:`close` under the lock (a close that
+        lands while the snapshot loads stays closed), and every install
+        but the first counts as a reload in the same critical section.
+        """
         if isinstance(source, DetectionSnapshot):
             snapshot = source
             described = "<in-memory>"
@@ -327,6 +328,10 @@ class ClusterService:
         # assignments under the lock.
         assigner = ClusterAssigner(snapshot)
         with self._lock:
+            if self._closed:
+                raise ValidationError("service is closed")
+            if self._snapshot is not None:
+                self._counters.record_reload()
             self._snapshot = snapshot
             self._assigner = assigner
             self._source = described
@@ -391,8 +396,6 @@ class ClusterService:
         if self._closed:
             raise ValidationError("service is closed")
         self._install(source, mmap)
-        with self._lock:
-            self._counters.record_reload()
 
     def apply_delta(self, source, *, mmap: bool = False) -> None:
         """Hot-apply an incremental :class:`SnapshotDelta`.
@@ -409,15 +412,14 @@ class ClusterService:
         old snapshot still serving; a successful apply counts as a
         reload in :meth:`stats` (snapshot-scope counters restart).
         """
-        if self._closed:
+        snapshot = self._snapshot
+        if snapshot is None:
             raise ValidationError("service is closed")
         if isinstance(source, SnapshotDelta):
             delta = source
         else:
             delta = SnapshotDelta.load(source, mmap=mmap)
-        self._install(delta.apply(self._snapshot), mmap)
-        with self._lock:
-            self._counters.record_reload()
+        self._install(delta.apply(snapshot), mmap)
 
     def close(self) -> None:
         """Release the snapshot; later :meth:`assign` calls raise.
@@ -458,8 +460,6 @@ class ClusterService:
                 "n_clusters": (
                     0 if snapshot is None else len(snapshot.clusters)
                 ),
-                **self._counters.lifetime_dict(with_degraded=True),
-                "snapshot": self._counters.snapshot_dict(
-                    with_degraded=True
-                ),
+                **self._counters.lifetime_dict(),
+                "snapshot": self._counters.snapshot_dict(),
             }

@@ -42,9 +42,11 @@ Guarantees, pinned by ``tests/test_serve_sharded.py``:
   :meth:`ShardedClusterService.stats`.  The default policy raises
   :class:`~repro.exceptions.WorkerError` instead.
 * **Self-healing** — :meth:`ShardedClusterService.heal` respawns dead
-  workers from their still-valid on-disk shard artifacts (checksums
-  re-verified on load) and swaps them in behind a drained router;
-  post-heal assignments are byte-identical to a never-crashed pool.
+  workers from their on-disk shard artifacts and swaps them in behind a
+  drained router.  Every worker reports the checksum of the shard
+  manifest it loaded, and a respawn that loaded any other manifest than
+  the one the served plan recorded is refused, so post-heal assignments
+  are byte-identical to a never-crashed pool.
   :class:`~repro.serve.supervisor.ShardSupervisor` automates the
   watch-and-heal loop; ``tests/test_serve_faults.py`` pins both.
 
@@ -60,7 +62,6 @@ import os
 import pathlib
 import threading
 import time
-import warnings
 
 import numpy as np
 
@@ -69,7 +70,12 @@ from repro.obs.metrics import MetricsRegistry, default_latency_bounds_ms
 from repro.obs.trace import TID_SUPERVISOR
 from repro.serve.assigner import Assignment, ClusterAssigner
 from repro.serve.ipc import recv_message, send_message
-from repro.serve.plan import ShardPlan, ShardPlanner, replan_for_delta
+from repro.serve.plan import (
+    STRATEGIES,
+    ShardPlan,
+    ShardPlanner,
+    replan_for_delta,
+)
 from repro.serve.router import BatchingRouter
 from repro.serve.service import _ServingCounters
 from repro.serve.snapshot import DetectionSnapshot, SnapshotDelta
@@ -97,6 +103,7 @@ def _describe_payload(shard_dir: str, snapshot: DetectionSnapshot) -> dict:
         "n_clusters": snapshot.n_clusters,
         "labels": [int(c.label) for c in snapshot.clusters],
         "shard_id": snapshot.meta.get("shard_id"),
+        "manifest_sha256": snapshot.manifest_sha256,
         "data_type": type(data).__name__,
         "data_filename": None if filename is None else str(filename),
         "quality": (
@@ -465,6 +472,7 @@ class ShardedClusterService:
         self.metrics_registry = self._counters.registry
         self.tracer = tracer
         self._heal_seq = 0
+        self._closed = False
         self._plan: ShardPlan | None = None
         self._workers: list[ShardWorker] = []
         self._router: BatchingRouter | None = None
@@ -474,9 +482,8 @@ class ShardedClusterService:
             self._full: DetectionSnapshot | None = parent_source
         else:
             self._full = DetectionSnapshot.load(parent_source, mmap=True)
-        plan, workers, router = self._spawn(root)
-        self._plan, self._workers, self._router = plan, workers, router
-        self._counters.set_quality(self._merged_quality(workers))
+        plan = ShardPlan.load(root)
+        self._swap(plan, self._start(plan, range(plan.n_shards)))
 
     # ------------------------------------------------------------------
     @staticmethod
@@ -502,63 +509,115 @@ class ShardedClusterService:
             )
         return merged if annotated else None
 
-    @classmethod
-    def from_snapshot(
-        cls,
-        snapshot_source,
-        shard_root,
-        *,
-        n_shards: int = 2,
-        strategy: str = "balanced",
-        **kwargs,
-    ) -> "ShardedClusterService":
-        """Plan *snapshot_source* into *shard_root*, then serve it.
+    def _check_open(self) -> None:
+        """Refuse a serving call once :meth:`close` ran (lock held)."""
+        if self._closed:
+            raise WorkerError(
+                "service is closed; no shard workers are running"
+            )
 
-        .. deprecated::
-            Use :func:`repro.serve.connect` with ``workers=n_shards``
-            instead — it returns the same running pool behind the
-            unified :class:`~repro.serve.client.ClusterHandle` protocol
-            and manages the scratch shard directory for you.
+    def _start(self, plan: ShardPlan, shard_ids) -> list[ShardWorker]:
+        """Start one worker per shard id of *plan*: all of them, or none.
+
+        A worker whose handshake reports another shard manifest than the
+        one *plan* recorded (the shard was rewritten since) is refused
+        with :class:`~repro.exceptions.SnapshotError`.  On any failure
+        every worker started so far is stopped and the error re-raised.
         """
-        warnings.warn(
-            "ShardedClusterService.from_snapshot is deprecated; use "
-            "repro.serve.connect(source, workers=n_shards) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        ShardPlanner(n_shards=n_shards, strategy=strategy).plan(
-            snapshot_source, shard_root
-        )
-        return cls(shard_root, parent_source=snapshot_source, **kwargs)
-
-    def _spawn(
-        self, root
-    ) -> tuple[ShardPlan, list[ShardWorker], BatchingRouter]:
-        """Validate a plan and bring up its full worker pool, or nothing."""
-        plan = ShardPlan.load(root)
-        workers: list[ShardWorker] = []
+        fresh: list[ShardWorker] = []
         try:
-            for spec in plan.shards:
-                workers.append(
-                    ShardWorker(
-                        plan.shard_dir(spec.shard_id),
-                        spec.shard_id,
-                        mmap=self._mmap,
-                        start_timeout=self._start_timeout,
-                    )
+            for shard_id in shard_ids:
+                worker = ShardWorker(
+                    plan.shard_dir(shard_id),
+                    shard_id,
+                    mmap=self._mmap,
+                    start_timeout=self._start_timeout,
                 )
-        except Exception:
-            for worker in workers:
+                fresh.append(worker)
+                loaded = worker.info["manifest_sha256"]
+                recorded = plan.shards[shard_id].manifest_sha256
+                if loaded != recorded:
+                    raise SnapshotError(
+                        f"{worker.shard_dir} loaded manifest "
+                        f"{loaded[:12]}..., but the plan records "
+                        f"{recorded[:12]}... — the shard was rewritten "
+                        f"after the plan was read"
+                    )
+        except BaseException:
+            for worker in fresh:
                 worker.stop()
             raise
-        router = BatchingRouter(
-            workers,
-            max_batch=self._max_batch,
-            on_worker_error=self._on_worker_error,
-            registry=self.metrics_registry,
-            tracer=self.tracer,
-        )
-        return plan, workers, router
+        return fresh
+
+    def _swap(
+        self,
+        plan: ShardPlan,
+        fresh: list[ShardWorker],
+        *,
+        base: ShardPlan | None = None,
+        full: DetectionSnapshot | None = None,
+    ) -> bool:
+        """Serve *plan* with *fresh* workers plus the current ones kept.
+
+        A current worker is kept when *plan* still has its shard and no
+        fresh worker replaces it; the others stop after the swap.  A
+        kept worker moves to the new router, so the old router drains
+        under the lock first (a worker pipe never carries two routers'
+        requests, and new batches cannot retain meanwhile); with nothing
+        kept the swap comes first and the old pool drains afterwards.
+
+        A new *plan* counts as a reload (quality gauges follow it), the
+        served plan again as a heal.  *full* becomes the tracked parent.
+        When *base* is given but no longer served, the fresh workers stop
+        and ``False`` is returned; on a closed service they stop and
+        :class:`~repro.exceptions.WorkerError` is raised.
+        """
+        fresh_ids = {worker.shard_id for worker in fresh}
+        retired, draining = fresh, None
+        try:
+            with self._lock:
+                self._check_open()
+                if base is not None and self._plan is not base:
+                    return False
+                kept = [
+                    worker
+                    for worker in self._workers
+                    if worker.shard_id < plan.n_shards
+                    and worker.shard_id not in fresh_ids
+                ]
+                workers = sorted(
+                    kept + fresh, key=lambda worker: worker.shard_id
+                )
+                router = BatchingRouter(
+                    workers,
+                    max_batch=self._max_batch,
+                    on_worker_error=self._on_worker_error,
+                    registry=self.metrics_registry,
+                    tracer=self.tracer,
+                )
+                if kept:
+                    self._router.wait_idle()
+                else:
+                    draining = self._router
+                if plan is self._plan:
+                    self._counters.record_heal(len(fresh))
+                else:
+                    if self._plan is not None:
+                        self._counters.record_reload()
+                    self._counters.set_quality(self._merged_quality(workers))
+                retired = [w for w in self._workers if w not in kept]
+                self._plan, self._workers, self._router = plan, workers, router
+                if full is not None:
+                    self._full = full
+            return True
+        finally:
+            # In-flight batches retained the old router; they finish
+            # before their workers stop (each request is bounded by the
+            # workers' request timeout, so this wait terminates).
+            if draining is not None:
+                draining.wait_idle()
+            for worker in retired:
+                worker.stop()
 
     # ------------------------------------------------------------------
     @property
@@ -592,10 +651,7 @@ class ShardedClusterService:
         # the old pool can never read as idle between this batch
         # grabbing its router and actually routing.
         with self._lock:
-            if self._router is None:
-                raise WorkerError(
-                    "service is closed; no shard workers are running"
-                )
+            self._check_open()
             router = self._router.retain()
         try:
             result, info = router.route(queries, shortlist=shortlist)
@@ -624,21 +680,8 @@ class ShardedClusterService:
         while the per-snapshot counters reset, exactly like
         :meth:`repro.serve.service.ClusterService.reload`.
         """
-        plan, workers, router = self._spawn(root)
-        with self._lock:
-            old_workers = self._workers
-            old_router = self._router
-            self._plan, self._workers, self._router = plan, workers, router
-            self._counters.record_reload()
-            self._counters.set_quality(self._merged_quality(workers))
-        # In-flight batches retained the old router; let them drain
-        # before their workers are stopped (a batch mid-collect must
-        # not see its worker die under it).  Each request is bounded by
-        # the workers' request timeout, so this wait terminates.
-        if old_router is not None:
-            old_router.wait_idle()
-        for worker in old_workers:
-            worker.stop()
+        plan = ShardPlan.load(root)
+        self._swap(plan, self._start(plan, range(plan.n_shards)))
 
     def apply_delta(self, source, *, mmap: bool = False) -> list[int]:
         """Hot-apply a :class:`SnapshotDelta` with a partial reload.
@@ -653,7 +696,7 @@ class ShardedClusterService:
         lightest touched shard (or the lightest shard overall for a
         pure-addition delta).  When a touched shard would end up
         empty — an unservable artifact — the whole shard set is
-        re-planned and reloaded instead.
+        re-planned and every shard respawned instead.
 
         Returns the sorted shard ids that were respawned (empty for a
         pure-append delta, which only advances the plan's recorded
@@ -674,11 +717,8 @@ class ShardedClusterService:
         else:
             delta = SnapshotDelta.load(source, mmap=mmap)
         with self._lock:
+            self._check_open()
             plan = self._plan
-            if self._router is None or plan is None:
-                raise WorkerError(
-                    "service is closed; no shard workers are running"
-                )
         if (
             plan.parent_manifest_sha256 is not None
             and self._full.manifest_sha256 != plan.parent_manifest_sha256
@@ -697,81 +737,18 @@ class ShardedClusterService:
             [c.label for c in delta.clusters],
         )
         if replanned is None:
-            # A touched shard emptied out: fall back to a full re-plan
-            # of the same root (same shard count and strategy), served
-            # through the ordinary whole-pool reload.
+            # A touched shard emptied out: re-plan the same root (same
+            # shard count and strategy) and respawn every shard.
             strategy = (
-                plan.strategy
-                if plan.strategy in ("balanced", "contiguous")
-                else "balanced"
+                plan.strategy if plan.strategy in STRATEGIES else "balanced"
             )
-            ShardPlanner(
+            new_plan = ShardPlanner(
                 n_shards=plan.n_shards, strategy=strategy
             ).plan(new_full, plan.root)
-            self.reload(plan.root)
-            self._full = new_full
-            return [spec.shard_id for spec in self._plan.shards]
-        new_plan, touched = replanned
-        fresh: list[ShardWorker] = []
-        try:
-            for shard_id in touched:
-                fresh.append(
-                    ShardWorker(
-                        new_plan.shard_dir(shard_id),
-                        shard_id,
-                        mmap=self._mmap,
-                        start_timeout=self._start_timeout,
-                    )
-                )
-        except Exception:
-            for worker in fresh:
-                worker.stop()
-            raise
-        by_shard = {worker.shard_id: worker for worker in fresh}
-        with self._lock:
-            if self._router is None:
-                for worker in fresh:
-                    worker.stop()
-                raise WorkerError(
-                    "service was closed while the delta was being applied"
-                )
-            old_router = self._router
-            # Untouched workers move to the new router, whose pipe lock
-            # is its own — drain the old router first (new retains need
-            # this service lock, so none can start) so two routers never
-            # interleave requests on a shared worker's pipe.
-            old_router.wait_idle()
-            replaced = [
-                worker
-                for worker in self._workers
-                if worker.shard_id in by_shard
-            ]
-            workers = sorted(
-                [
-                    worker
-                    for worker in self._workers
-                    if worker.shard_id not in by_shard
-                ]
-                + fresh,
-                key=lambda worker: worker.shard_id,
-            )
-            router = BatchingRouter(
-                workers,
-                max_batch=self._max_batch,
-                on_worker_error=self._on_worker_error,
-                registry=self.metrics_registry,
-                tracer=self.tracer,
-            )
-            self._plan, self._workers, self._router = (
-                new_plan,
-                workers,
-                router,
-            )
-            self._full = new_full
-            self._counters.record_reload()
-            self._counters.set_quality(self._merged_quality(workers))
-        for worker in replaced:
-            worker.stop()
+            touched = list(range(new_plan.n_shards))
+        else:
+            new_plan, touched = replanned
+        self._swap(new_plan, self._start(new_plan, touched), full=new_full)
         return touched
 
     def dead_shard_ids(self) -> list[int]:
@@ -783,10 +760,7 @@ class ShardedClusterService:
         other serving call.
         """
         with self._lock:
-            if self._router is None:
-                raise WorkerError(
-                    "service is closed; no shard workers are running"
-                )
+            self._check_open()
             return sorted(
                 w.shard_id for w in self._workers if not w.alive
             )
@@ -795,113 +769,57 @@ class ShardedClusterService:
         """Respawn every dead shard worker from its on-disk artifact.
 
         The self-healing half of degraded serving: a crashed (or
-        timed-out, or desynced) worker's shard snapshot is still intact
-        on disk — worker processes only ever *read* their shard, so a
-        SIGKILL cannot tear it — and :class:`ShardWorker` re-verifies
-        the checksums on load, so a respawn serves exactly the bytes
-        the dead worker served.  Replacements are spawned and
-        handshaken entirely off to the side (a failure — e.g. a
-        corrupted artifact — propagates with the surviving pool still
-        serving degraded), then swapped in behind a drained router,
-        exactly like :meth:`apply_delta`'s partial reload.
+        timed-out, or desynced) worker's shard snapshot is still on
+        disk — worker processes only ever *read* their shard, so a
+        SIGKILL cannot tear it.  A replacement loads only the shard
+        manifest the served plan recorded (checksums re-verified on
+        load), so it serves exactly the bytes the dead worker served; a
+        shard rewritten since — e.g. by a partial :meth:`apply_delta`
+        whose respawn failed — is refused with
+        :class:`~repro.exceptions.SnapshotError`.  Replacements are
+        spawned and handshaken entirely off to the side (a failure
+        propagates with the surviving pool still serving degraded),
+        then swapped in behind a drained router.  A heal that a
+        concurrent reload superseded discards its replacements.
 
         Returns the sorted shard ids that were healed (empty when every
-        worker is alive).  Unlike a reload, a heal does **not** reset
-        the per-snapshot stats scope — the served snapshot did not
-        change — but it does advance the ``respawns`` and
-        ``healed_shards`` counters at both scopes.
+        worker is alive, or the heal was superseded).  Unlike a reload,
+        a heal does **not** reset the per-snapshot stats scope — the
+        served snapshot did not change — but it does advance the
+        ``respawns`` and ``healed_shards`` counters at both scopes.
         """
         with self._lock:
+            self._check_open()
             plan = self._plan
-            if self._router is None or plan is None:
-                raise WorkerError(
-                    "service is closed; no shard workers are running"
-                )
             dead_ids = sorted(
                 w.shard_id for w in self._workers if not w.alive
             )
-        if not dead_ids:
-            return []
-        tracer = self.tracer
+            if not dead_ids:
+                return []
+            self._heal_seq += 1
+            heal_seq = self._heal_seq
         heal_span = None
-        if tracer is not None:
-            with self._lock:
-                self._heal_seq += 1
-                heal_seq = self._heal_seq
-            heal_span = tracer.begin(
+        if self.tracer is not None:
+            heal_span = self.tracer.begin(
                 "heal",
                 trace_id=f"heal-{heal_seq}",
                 tid=TID_SUPERVISOR,
                 shards=list(dead_ids),
             )
-        fresh: list[ShardWorker] = []
         try:
-            for shard_id in dead_ids:
-                fresh.append(
-                    ShardWorker(
-                        plan.shard_dir(shard_id),
-                        shard_id,
-                        mmap=self._mmap,
-                        start_timeout=self._start_timeout,
-                    )
-                )
-        except Exception:
-            for worker in fresh:
-                worker.stop()
+            healed = self._swap(
+                plan, self._start(plan, dead_ids), base=plan
+            )
+        except Exception as exc:
             if heal_span is not None:
-                heal_span.end(error="respawn_failed")
+                heal_span.end(error=type(exc).__name__)
             raise
-        by_shard = {worker.shard_id: worker for worker in fresh}
-        with self._lock:
-            if self._router is None:
-                for worker in fresh:
-                    worker.stop()
-                if heal_span is not None:
-                    heal_span.end(error="service_closed")
-                raise WorkerError(
-                    "service was closed while healing"
-                )
-            if self._plan is not plan:
-                # A reload/apply_delta raced us and already installed a
-                # fully fresh pool; our replacements would serve a stale
-                # plan.  Discard them — the heal is moot.
-                for worker in fresh:
-                    worker.stop()
-                if heal_span is not None:
-                    heal_span.end(outcome="superseded")
-                return []
-            old_router = self._router
-            # Same pipe-discipline as apply_delta: drain the old router
-            # before surviving workers move to the new one.
-            old_router.wait_idle()
-            replaced = [
-                worker
-                for worker in self._workers
-                if worker.shard_id in by_shard
-            ]
-            workers = sorted(
-                [
-                    worker
-                    for worker in self._workers
-                    if worker.shard_id not in by_shard
-                ]
-                + fresh,
-                key=lambda worker: worker.shard_id,
-            )
-            router = BatchingRouter(
-                workers,
-                max_batch=self._max_batch,
-                on_worker_error=self._on_worker_error,
-                registry=self.metrics_registry,
-                tracer=self.tracer,
-            )
-            self._workers, self._router = workers, router
-            self._counters.record_heal(len(fresh), len(fresh))
-        for worker in replaced:
-            worker.stop()
         if heal_span is not None:
-            heal_span.end(healed=len(fresh))
-        return dead_ids
+            if healed:
+                heal_span.end(healed=len(dead_ids))
+            else:
+                heal_span.end(outcome="superseded")
+        return dead_ids if healed else []
 
     def describe_shards(self) -> list[dict]:
         """Live facts from every worker that still answers.
@@ -911,10 +829,7 @@ class ShardedClusterService:
         batch so a concurrent reload cannot stop the pool mid-describe.
         """
         with self._lock:
-            if self._router is None:
-                raise WorkerError(
-                    "service is closed; no shard workers are running"
-                )
+            self._check_open()
             router = self._router.retain()
         try:
             return router.describe_workers()
@@ -947,10 +862,8 @@ class ShardedClusterService:
                 "n_clusters": sum(
                     s.n_clusters for s in self._plan.shards
                 ),
-                **self._counters.lifetime_dict(with_degraded=True),
-                "snapshot": self._counters.snapshot_dict(
-                    with_degraded=True
-                ),
+                **self._counters.lifetime_dict(),
+                "snapshot": self._counters.snapshot_dict(),
             }
 
     # ------------------------------------------------------------------
@@ -963,6 +876,7 @@ class ShardedClusterService:
         cleanly), then stopped.
         """
         with self._lock:
+            self._closed = True
             workers, self._workers = self._workers, []
             router, self._router = self._router, None
         if router is not None:

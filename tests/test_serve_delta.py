@@ -449,16 +449,6 @@ class TestConnect:
         with pytest.raises(ValidationError, match="single-process"):
             connect(chain["root"] / "base", max_batch=64)
 
-    def test_from_snapshot_shim_warns_and_still_works(self, chain, tmp_path):
-        with pytest.warns(DeprecationWarning, match="connect"):
-            service = ShardedClusterService.from_snapshot(
-                chain["root"] / "base", tmp_path / "shards", n_shards=2
-            )
-        with service:
-            assert service.assign(chain["queries"][:10]).n_queries == 10
-            # The shim also wires parent tracking, so deltas work.
-            service.apply_delta(chain["root"] / "delta1")
-
 
 class TestIngestService:
     def test_rejects_unknown_repeel_mode(self):

@@ -11,7 +11,9 @@ failure; the ``respawns`` / ``healed_shards`` counters are exposed at
 both stats scopes.
 """
 
+import dataclasses
 import os
+import shutil
 import signal
 import time
 
@@ -21,7 +23,7 @@ import pytest
 from repro.core.alid import ALID
 from repro.core.config import ALIDConfig
 from repro.datasets.synthetic import make_synthetic_mixture
-from repro.exceptions import ValidationError, WorkerError
+from repro.exceptions import SnapshotError, ValidationError, WorkerError
 from repro.serve import (
     ClusterService,
     DetectionSnapshot,
@@ -152,6 +154,65 @@ class TestKillBetweenBatches:
             service.dead_shard_ids()
         with pytest.raises(WorkerError):
             service.heal()
+
+    def test_heal_refuses_a_shard_rewritten_after_planning(
+        self, fitted, snapshot_dir, tmp_path, reference
+    ):
+        """A respawn serves the shard its plan recorded, or nothing.
+
+        A partial ``apply_delta`` rewrites the touched shards before
+        their workers start, so a failed start leaves rewritten files
+        under a pool still serving the old plan.  Healing from such a
+        file would silently change answers; the heal must refuse it.
+        """
+        dataset, _, _ = fitted
+        root = tmp_path / "shards"
+        ShardPlanner(n_shards=2).plan(snapshot_dir, root)
+        with ShardedClusterService(root, on_worker_error="skip") as service:
+            victim = _kill_worker(service)
+            shard_dir = service.plan.shard_dir(victim)
+            planned = tmp_path / "planned"
+            shutil.copytree(shard_dir, planned)
+            # A valid shard snapshot that serves one cluster less.
+            shard = DetectionSnapshot.load(shard_dir)
+            dataclasses.replace(shard, clusters=shard.clusters[1:]).save(
+                shard_dir
+            )
+            with pytest.raises(SnapshotError, match="rewritten"):
+                service.heal()
+            assert service.dead_shard_ids() == [victim]
+            assert service.stats()["respawns"] == 0
+            # The recorded artifact back in place: the heal succeeds
+            # and the pool answers like a never-crashed one.
+            shutil.rmtree(shard_dir)
+            shutil.copytree(planned, shard_dir)
+            assert service.heal() == [victim]
+            _assert_identical(service.assign(dataset.data), reference)
+
+    def test_heal_superseded_by_a_reload_discards_its_workers(
+        self, fitted, shard_root, degraded_pool, reference
+    ):
+        """A reload landing mid-heal wins; the heal's replacements stop."""
+        dataset, _, _ = fitted
+        service = degraded_pool
+        _kill_worker(service)
+        start, replacements = service._start, []
+
+        def start_then_reload(plan, shard_ids):
+            fresh = start(plan, shard_ids)
+            if not replacements:
+                replacements.extend(fresh)
+                service.reload(shard_root)
+            return fresh
+
+        service._start = start_then_reload
+        assert service.heal() == []
+        assert [w.alive for w in replacements] == [False]
+        assert service.dead_shard_ids() == []
+        stats = service.stats()
+        assert stats["reloads"] == 1
+        assert stats["respawns"] == 0
+        _assert_identical(service.assign(dataset.data), reference)
 
 
 class TestKillMidBatch:

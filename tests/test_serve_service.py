@@ -9,7 +9,7 @@ from repro.cli import main
 from repro.core.alid import ALID
 from repro.core.config import ALIDConfig
 from repro.datasets.synthetic import make_synthetic_mixture
-from repro.exceptions import SnapshotError
+from repro.exceptions import SnapshotError, ValidationError
 from repro.io import save_dataset
 from repro.serve import ClusterService, DetectionSnapshot
 from repro.serve.snapshot import MANIFEST_NAME
@@ -166,6 +166,31 @@ class TestClusterService:
         # The old snapshot kept serving, so its counters survive too.
         assert stats["snapshot"]["batches"] == 1
         assert stats["snapshot"]["queries"] == 10
+
+    def test_close_during_reload_stays_closed(
+        self, fitted, snapshot_dir, monkeypatch
+    ):
+        """A close() that lands while a reload prepares its snapshot wins."""
+        import repro.serve.service as service_module
+
+        dataset, _, _ = fitted
+        service = ClusterService(snapshot_dir)
+        build = service_module.ClusterAssigner
+
+        def close_while_building(snapshot):
+            service.close()
+            return build(snapshot)
+
+        monkeypatch.setattr(
+            service_module, "ClusterAssigner", close_while_building
+        )
+        with pytest.raises(ValidationError, match="closed"):
+            service.reload(snapshot_dir)
+        with pytest.raises(ValidationError, match="closed"):
+            service.assign(dataset.data[:5])
+        stats = service.stats()
+        assert stats["reloads"] == 0
+        assert stats["n_clusters"] == 0
 
 
 class TestServeCLI:

@@ -272,6 +272,26 @@ class TestHotReload:
         finally:
             service.close()
 
+    def test_reload_onto_fewer_shards_stops_the_extra_worker(
+        self, fitted, snapshot_dir, tmp_path
+    ):
+        dataset, _, _ = fitted
+        three, two = tmp_path / "three", tmp_path / "two"
+        ShardPlanner(n_shards=3).plan(snapshot_dir, three)
+        ShardPlanner(n_shards=2).plan(snapshot_dir, two)
+        single = ClusterService(snapshot_dir).assign(dataset.data)
+        with ShardedClusterService(three) as service:
+            third = service._workers[2]
+            service.reload(two)
+            assert service.n_shards == 2
+            assert third.process.exitcode is not None
+            assert not third.process.is_alive()
+            result = service.assign(dataset.data)
+        assert np.array_equal(single.labels, result.labels)
+        assert np.array_equal(single.scores, result.scores)
+        assert np.array_equal(single.n_candidates, result.n_candidates)
+        assert single.entries_computed == result.entries_computed
+
     def test_failed_reload_keeps_old_pool_serving(
         self, fitted, snapshot_dir, shard_root, tmp_path
     ):
@@ -406,6 +426,18 @@ class TestServiceMechanics:
             service.assign(dataset.data[:3])
         with pytest.raises(WorkerError, match="closed"):
             service.describe_shards()
+
+    def test_reload_after_close_is_refused(self, shard_root):
+        """A closed pool stays closed: the reload's fresh workers stop."""
+        import multiprocessing
+
+        service = ShardedClusterService(shard_root)
+        service.close()
+        running = len(multiprocessing.active_children())
+        with pytest.raises(WorkerError, match="closed"):
+            service.reload(shard_root)
+        assert service.n_shards == 0
+        assert len(multiprocessing.active_children()) == running
 
     def test_workers_mmap_their_shard_only(self, sharded):
         """Workers hold file-backed buffers, never full-matrix copies."""

@@ -89,8 +89,8 @@ def bench_alid(size_key: str) -> dict:
     """End-to-end ALID fit (LID + ROI + CIVS + peeling).
 
     Beyond the work accounting, the report carries the peeling loop's
-    statistics: ``seed_rounds`` (peeling rounds, one colliding-mask
-    pass each), ``noise_prefiltered`` (seeds killed by the noise
+    statistics: ``seed_rounds`` (peeling rounds, one Alg. 2 run
+    each), ``noise_prefiltered`` (seeds killed by the noise
     pre-filter before any LID iteration), ``lid_runs`` (full Alg. 2
     runs), ``noise_lid_runs`` (full runs that still produced a
     sub-dominant peel), and ``noise_lid_reduction`` — how many times

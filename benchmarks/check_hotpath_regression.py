@@ -10,6 +10,11 @@ work accounting regresses:
   ``--tolerance`` (default 10%) — kernel evaluations are deterministic
   for fixed seeds, so any growth is a real algorithmic regression, not
   machine noise;
+* the deterministic retrieval and peeling counts (``candidates_returned``
+  of the ``lsh_batch_*`` lanes; ``noise_prefiltered``, ``lid_runs`` and
+  ``seed_rounds`` of the ``alid_*`` lanes) must equal the baseline
+  exactly — a dedup or pre-filter change that drops a candidate or
+  misclassifies a seed moves one of them, in either direction;
 * a workload present in the baseline but missing from the current
   report fails (the gate must not silently narrow);
 * a workload reporting any of the zero-tolerance booleans
@@ -59,6 +64,13 @@ import pathlib
 import sys
 
 GATED_KEYS = ("entries_computed",)
+# Baseline keys gated with zero tolerance: any difference fails.
+EXACT_KEYS = (
+    "candidates_returned",
+    "noise_prefiltered",
+    "lid_runs",
+    "seed_rounds",
+)
 # Baseline keys gated in the *shrink* direction: the current value may
 # not fall more than the tolerance below the committed one.
 GATED_MIN_KEYS = ("throughput_qps",)
@@ -105,7 +117,6 @@ BOOLEAN_KEYS = {
 }
 INFO_KEYS = (
     "entries_stored_peak",
-    "candidates_returned",
     "wall_seconds",
     "latency_p50_ms",
     "latency_p99_ms",
@@ -195,7 +206,12 @@ def main(argv: list[str] | None = None) -> int:
     for name in sorted(baseline):
         base = baseline[name]
         gated = {k: base[k] for k in GATED_KEYS if k in base}
-        if not gated and not any(k in base for k in GATED_MIN_KEYS):
+        exact = {k: base[k] for k in EXACT_KEYS if k in base}
+        if (
+            not gated
+            and not exact
+            and not any(k in base for k in GATED_MIN_KEYS)
+        ):
             continue
         if name not in current:
             failures.append(
@@ -223,6 +239,21 @@ def main(argv: list[str] | None = None) -> int:
                 failures.append(
                     f"{name}.{key}: {cur_value} exceeds baseline "
                     f"{base_value} by more than {args.tolerance:.0%}"
+                )
+        for key, base_value in exact.items():
+            cur_value = cur.get(key)
+            if cur_value is None:
+                failures.append(f"{name}.{key}: missing from current run")
+                continue
+            status = "FAIL" if cur_value != base_value else "ok"
+            print(
+                f"[check_hotpath] {status:4s} {name}.{key}: "
+                f"{cur_value} vs baseline {base_value} (exact)"
+            )
+            if cur_value != base_value:
+                failures.append(
+                    f"{name}.{key}: {cur_value} differs from baseline "
+                    f"{base_value} (deterministic count, zero tolerance)"
                 )
         for key in GATED_MIN_KEYS:
             if key not in base:

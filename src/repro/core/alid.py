@@ -18,13 +18,13 @@ peeling loop of §4.4 (detect, peel, reiterate until everything is
 peeled; keep clusters whose density clears the threshold) into the
 user-facing :class:`ALID` estimator.
 
-The peel runs in rounds.  Each round takes one colliding mask over the
-LSH index, peels every noise-isolated seed the schedule yields as a
-zero-work singleton (an Alg. 2 run seeded there can retrieve nothing),
-and runs Alg. 2 from the first seed with an active collision.  Peeling
-an isolated item changes no other item's collisions, so the mask holds
-for the whole round and the emitted clusters are exactly those of the
-paper-literal one-seed-at-a-time loop.
+The peel runs in rounds.  Each round peels every noise-isolated seed
+the schedule yields as a zero-work singleton (an Alg. 2 run seeded
+there can retrieve nothing), and runs Alg. 2 from the first seed with
+an active collision.  Each picked seed is checked on its own against
+the current active mask, reading only its ``l`` LSH buckets, so the
+emitted clusters are exactly those of the paper-literal
+one-seed-at-a-time loop.
 """
 
 from __future__ import annotations
@@ -622,16 +622,18 @@ class ALID:
     ) -> None:
         """Detect, peel, reiterate until every item is peeled (§4.4).
 
-        Each round takes one :meth:`~repro.lsh.index.LSHIndex.colliding_mask`
-        and emits every seed the schedule yields without an active LSH
-        collision as a singleton at density 0: CIVS candidates come from
-        collisions only, so Alg. 2 from there provably returns the bare
-        seed without kernel work.  Peeling such a seed changes no other
-        item's collisions, so the mask holds until the round's one Alg. 2
-        run from the first colliding seed.  A seed whose detection
-        drifted away from it stays active and is picked again next round.
-        ``verify_global``'s exact scan can reach items with no LSH
-        collision, which voids the proof, so it skips the pre-filter.
+        Each round emits every seed the schedule yields without an
+        active LSH collision as a singleton at density 0: CIVS
+        candidates come from collisions only, so Alg. 2 from there
+        provably returns the bare seed without kernel work.  Each
+        picked seed is checked on its own with
+        :meth:`~repro.lsh.index.LSHIndex.has_active_collision`, which
+        reads only that seed's ``l`` buckets.  The round ends with one
+        Alg. 2 run from the first colliding seed.  A seed whose
+        detection drifted away from it stays active and is picked again
+        next round.  ``verify_global``'s exact scan can reach items with
+        no LSH collision, which voids the proof, so it skips the
+        pre-filter.
         """
         cfg = self.config
         index = engine.index
@@ -645,8 +647,8 @@ class ALID:
             entries_before = counters.entries_computed
             peeled_before = len(all_clusters)
             if not cfg.verify_global:
-                colliding = index.colliding_mask()
-                while seed is not None and not colliding[seed]:
+                collides = index.has_active_collision
+                while seed is not None and not collides(seed):
                     stats["noise_prefiltered"] += 1
                     self._emit(
                         engine, all_clusters, seed, [seed], [1.0], 0.0

@@ -19,9 +19,10 @@ Implementation notes
   multi-bucket queries gather all member ranges with a single
   repeat/cumsum fancy-index — no Python dict traffic on the hot path.
 * Batched queries (:meth:`LSHIndex.query_items`) deduplicate the
-  candidate union with one ``np.unique`` over the concatenated
+  candidate union with one :func:`sorted_unique` over the concatenated
   per-table gathers, which is what makes CIVS's multi-query pattern
-  (one query per supporting item, paper Fig. 4(b)) cheap.
+  (one query per supporting item, paper Fig. 4(b)) cheap: the dedup
+  costs O(k log k) in the k items gathered, never O(n).
 * Foreign points (serve-time queries) are hashed against every table
   at once: the tables' projections are stacked into one matrix, so
   :meth:`LSHIndex.point_bucket_hits` costs a few column-blocked products
@@ -33,8 +34,10 @@ Implementation notes
   tables but are filtered out of every query — O(1) per peel, no rebuild.
 * The collision *structure* is read directly:
   :meth:`LSHIndex.active_bucket_populations` (one ``reduceat`` over the
-  fused CSR), :meth:`LSHIndex.colliding_mask` (the peeling loop's noise
-  pre-filter), :meth:`LSHIndex.collision_components` (the ingest tier's
+  fused CSR), :meth:`LSHIndex.has_active_collision` (the peeling loop's
+  per-seed noise pre-filter, reading only the seed's ``l`` buckets),
+  :meth:`LSHIndex.colliding_mask` (the same test for every item at
+  once), :meth:`LSHIndex.collision_components` (the ingest tier's
   re-peel units) and :meth:`LSHIndex.query_items_grouped` (one gather
   serving a PALID seed cohort's CIVS queries).
 """
@@ -91,9 +94,13 @@ def csr_gather(
 def sorted_unique(keys: np.ndarray) -> np.ndarray:
     """Sorted distinct values of an integer array, flattened (``np.unique``).
 
-    One sort plus a neighbour comparison.  NumPy 2.3+ sends integer
-    ``np.unique`` through a hash table that runs ~20x slower than this
-    on the 10^3-10^5 keys the serving shortlist deduplicates.
+    Same values, order and dtype as ``np.unique``, from one sort plus a
+    neighbour comparison.  NumPy 2.3+ sends integer ``np.unique``
+    through a hash table that runs ~6-20x slower than this on the
+    10^3-10^5 keys that the fit's CIVS gathers and the serving
+    shortlist deduplicate.  The cost is O(k log k) in the k keys, with
+    no term in the index size, so a CIVS call stays proportional to
+    what it gathers.
     """
     keys = np.sort(keys, axis=None)
     keep = np.ones(keys.size, dtype=bool)
@@ -301,8 +308,9 @@ class LSHIndex:
         member array over all tables, per-bucket (start, length) ranges,
         and an ``(l, n)`` map from item to its bucket id in every table.
         Item queries then touch no per-table Python at all — a batched
-        query is one fancy-index over the map, one ``np.unique``, and
-        one multi-range gather, regardless of ``n_tables``.
+        query is one fancy-index over the map, one
+        :func:`sorted_unique`, and one multi-range gather, regardless of
+        ``n_tables``.
 
         The item -> bucket map needs no key search: each table's stable
         sort already laid its members out bucket by bucket, so sorted
@@ -425,7 +433,7 @@ class LSHIndex:
         """Deduplicate, sort and active-filter a raw candidate gather."""
         if candidates.size == 0:
             return np.empty(0, dtype=np.intp)
-        out = np.unique(candidates)
+        out = sorted_unique(candidates)
         return out[self._active[out]]
 
     def _gather_buckets(self, bucket_ids: np.ndarray) -> np.ndarray:
@@ -470,7 +478,7 @@ class LSHIndex:
         indices = check_index_array(indices, self.n, name="indices")
         if indices.size == 0:
             return np.empty(0, dtype=np.intp)
-        bucket_ids = np.unique(self._item_buckets[:, indices])
+        bucket_ids = sorted_unique(self._item_buckets[:, indices])
         out = self._finalize(self._gather_buckets(bucket_ids))
         if out.size:
             out = out[np.isin(out, indices, invert=True)]
@@ -497,8 +505,8 @@ class LSHIndex:
         grouped retrieval instead of one :meth:`query_items` call per
         seed.  Buckets of every group are gathered together, then
         candidates are deduplicated *per group* with a single
-        ``np.unique`` over ``group_id * n + item`` keys — no Python loop
-        over tables or candidates.
+        :func:`sorted_unique` over ``group_id * n + item`` keys — no
+        Python loop over tables or candidates.
 
         Parameters
         ----------
@@ -534,12 +542,8 @@ class LSHIndex:
         if not pair_parts:
             return results
         # Unique (group, bucket) pairs -> one multi-range member gather.
-        pair_keys = np.unique(np.concatenate(pair_parts))
-        exclude_keys = (
-            np.unique(np.concatenate(query_key_parts))
-            if query_key_parts
-            else None
-        )
+        pair_keys = sorted_unique(np.concatenate(pair_parts))
+        exclude_keys = sorted_unique(np.concatenate(query_key_parts))
         return self._resolve_grouped_pairs(
             pair_keys, len(groups), exclude_keys=exclude_keys
         )
@@ -555,7 +559,7 @@ class LSHIndex:
 
         The shared tail of the grouped query paths: one multi-range
         member gather over the fused CSR, per-group dedup via a single
-        ``np.unique`` over ``group * n + item`` keys, active-mask
+        :func:`sorted_unique` over ``group * n + item`` keys, active-mask
         filtering, optional exclusion of ``group * n + item`` keys (a
         group's own query items), and the sorted split into per-group
         arrays.
@@ -575,7 +579,7 @@ class LSHIndex:
         )
         # Unique (group, item) pairs: dedup within each group only.
         member_keys = np.repeat(pair_gids, lengths) * n + members
-        member_keys = np.unique(member_keys)
+        member_keys = sorted_unique(member_keys)
         items = (member_keys % n).astype(np.intp)
         gids = member_keys // n
         keep = self._active[items]
@@ -722,8 +726,8 @@ class LSHIndex:
         of points is hashed once (:meth:`point_bucket_hits`, whose
         *probe* hook this forwards), every hit bucket of every point is
         gathered together from the fused CSR, and candidates are
-        deduplicated *per point* with a single ``np.unique`` over
-        ``point_id * n + item`` keys.
+        deduplicated *per point* with a single :func:`sorted_unique`
+        over ``point_id * n + item`` keys.
 
         Parameters
         ----------
@@ -940,19 +944,39 @@ class LSHIndex:
         flags = self._active[self._g_members].astype(np.int64)
         return np.add.reduceat(flags, self._g_starts)
 
+    def has_active_collision(self, i: int) -> bool:
+        """Whether active item *i* shares a bucket with another active item.
+
+        Equals ``colliding_mask()[i]`` (False for an inactive item) but
+        reads only the item's ``l`` buckets: when every one of them
+        holds *i* alone the item is isolated and nothing is gathered;
+        otherwise their members are gathered and checked for another
+        active one.  This is the peeling loop's per-seed noise
+        pre-filter: an Alg. 2 run seeded at an item where it is False
+        can never retrieve anything (CIVS candidates come from LSH
+        collisions only) and provably peels as a zero-work singleton.
+        """
+        if not 0 <= i < self.n:
+            raise IndexError(f"item index {i} out of range [0, {self.n})")
+        if not self._active[i]:
+            return False
+        buckets = self._item_buckets[:, i]
+        lengths = self._g_lengths[buckets]
+        if lengths.max() <= 1:
+            return False
+        members = csr_gather(self._g_members, self._g_starts[buckets], lengths)
+        return bool(self._active[members[members != i]].any())
+
     def colliding_mask(self) -> np.ndarray:
         """Boolean mask of active items with >= 1 active LSH collision.
 
         ``colliding_mask()[i]`` is True exactly when
         ``query_item(i).size > 0``: the item is active and shares a
         bucket with another active item in at least one table.  Items
-        where it is False are *noise-isolated*: an Alg. 2 run seeded
-        there can never retrieve anything (CIVS candidates come from
-        LSH collisions only) and provably peels as a zero-work
-        singleton.  Deactivating such an item leaves every other
-        item's entry unchanged, so the peeling loop reuses one mask
-        while it peels isolated seeds.  One fused bucket-population
-        pass, no queries.
+        where it is False are *noise-isolated*.  One fused
+        bucket-population pass over the whole index, no queries; the
+        per-item form the peeling loop uses is
+        :meth:`has_active_collision`.
         """
         populations = self.active_bucket_populations()
         if populations.size == 0:

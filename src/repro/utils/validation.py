@@ -176,8 +176,17 @@ def check_probability_vector(
 def check_index_array(
     indices: np.ndarray, n: int, *, name: str = "indices", allow_empty: bool = True
 ) -> np.ndarray:
-    """Validate an integer index array against a collection of size *n*."""
+    """Validate an integer index array against a collection of size *n*.
+
+    A boolean array is refused: it is a mask, and read as indices its
+    True/False entries would silently select rows 1 and 0.
+    """
     arr = np.asarray(indices)
+    if arr.dtype == np.bool_:
+        raise ValidationError(
+            f"{name} must hold integer indices, not a boolean mask "
+            "(pass np.flatnonzero(mask))"
+        )
     if arr.ndim != 1:
         raise ValidationError(f"{name} must be 1-D, got ndim={arr.ndim}")
     if arr.size == 0:

@@ -9,6 +9,8 @@ import pathlib
 import subprocess
 import sys
 
+import pytest
+
 _SCRIPT = (
     pathlib.Path(__file__).resolve().parent.parent
     / "benchmarks"
@@ -120,6 +122,56 @@ class TestCheckHotpathRegression:
         full = report["workloads"]["serve_full"]
         assert full["n"] == 5000
         assert "queries_per_second" in full
+
+
+class TestExactCounts:
+    """Retrieval and peeling counts are deterministic: zero tolerance."""
+
+    BASE = {
+        "alid_tiny": {
+            "entries_computed": 1000,
+            "seed_rounds": 10,
+            "noise_prefiltered": 310,
+            "lid_runs": 9,
+        },
+        "lsh_batch_tiny": {"candidates_returned": 10160},
+    }
+
+    def test_identical_counts_pass(self, tmp_path):
+        baseline = _write_report(tmp_path / "base.json", self.BASE)
+        current = _write_report(tmp_path / "cur.json", self.BASE)
+        result = _run_gate(current, baseline)
+        assert result.returncode == 0, result.stderr
+
+    @pytest.mark.parametrize(
+        "lane, key",
+        [
+            ("lsh_batch_tiny", "candidates_returned"),
+            ("alid_tiny", "noise_prefiltered"),
+            ("alid_tiny", "lid_runs"),
+            ("alid_tiny", "seed_rounds"),
+        ],
+    )
+    @pytest.mark.parametrize("step", [-1, 1])
+    def test_any_difference_fails_by_name(self, tmp_path, lane, key, step):
+        baseline = _write_report(tmp_path / "base.json", self.BASE)
+        drifted = json.loads(json.dumps(self.BASE))
+        drifted[lane][key] += step
+        current = _write_report(tmp_path / "cur.json", drifted)
+        result = _run_gate(current, baseline, "--tolerance", "0.5")
+        assert result.returncode == 1
+        assert f"{lane}.{key}: " in result.stderr
+        assert "zero tolerance" in result.stderr
+
+    def test_missing_count_fails(self, tmp_path):
+        baseline = _write_report(tmp_path / "base.json", self.BASE)
+        current = _write_report(
+            tmp_path / "cur.json",
+            {"alid_tiny": self.BASE["alid_tiny"], "lsh_batch_tiny": {}},
+        )
+        result = _run_gate(current, baseline)
+        assert result.returncode == 1
+        assert "lsh_batch_tiny.candidates_returned: missing" in result.stderr
 
 
 class TestBenchServeScript:

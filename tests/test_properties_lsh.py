@@ -8,8 +8,9 @@ rely on — peeling and insertion must never corrupt bucket membership.
 """
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 from hypothesis.stateful import (
     RuleBasedStateMachine,
     initialize,
@@ -17,7 +18,7 @@ from hypothesis.stateful import (
     rule,
 )
 
-from repro.lsh.index import LSHIndex, csr_gather
+from repro.lsh.index import LSHIndex, csr_gather, sorted_unique
 
 DIM = 4
 SEED = 1234
@@ -44,6 +45,13 @@ class LSHIndexMachine(RuleBasedStateMachine):
         self.active = np.concatenate(
             [self.active, np.ones(len(rows), dtype=bool)]
         )
+
+    @rule(data=st.data())
+    def insert_copy(self, data):
+        # A copy shares every bucket with its original, so later peels
+        # leave active items whose only companions are inactive.
+        i = data.draw(st.integers(min_value=0, max_value=len(self.data) - 1))
+        self.insert([self.data[i].tolist()])
 
     @rule(data=st.data())
     def deactivate_some(self, data):
@@ -96,6 +104,29 @@ class LSHIndexMachine(RuleBasedStateMachine):
         assert self.index.n_active == int(self.active.sum())
 
     @invariant()
+    def per_item_collision_check_matches_mask(self):
+        colliding = self.index.colliding_mask()
+        for i in np.flatnonzero(self.active):
+            assert self.index.has_active_collision(int(i)) == colliding[i]
+
+    @invariant()
+    def batched_query_matches_key_equality(self):
+        # Brute force: an item is a candidate when it is active, is not
+        # a query item, and shares a bucket key with a query item in
+        # some table.
+        n = self.data.shape[0]
+        sample = np.arange(0, n, 3, dtype=np.intp)
+        keys = self.index.export_state()["item_keys"]
+        expected = np.zeros(n, dtype=bool)
+        for item in sample:
+            expected |= (keys == keys[:, [item]]).any(axis=0)
+        expected &= self.active
+        expected[sample] = False
+        np.testing.assert_array_equal(
+            self.index.query_items(sample), np.flatnonzero(expected)
+        )
+
+    @invariant()
     def item_bucket_map_matches_key_search(self):
         # The map is read off each table's sort order; an independent
         # key search must agree after any interleaving of inserts.
@@ -141,3 +172,27 @@ def test_owner_table_pairs_equal_item_owner_pairs(rows, owner_seed, queries):
         if owner[i] >= 0
     }
     assert by_table == by_items
+
+
+@st.composite
+def integer_keys(draw):
+    """Int64, intp or uint64 arrays (1-D or 2-D) with many repeats."""
+    dtype = np.dtype(draw(st.sampled_from([np.int64, np.intp, np.uint64])))
+    info = np.iinfo(dtype)
+    pool = draw(
+        st.lists(st.integers(info.min, info.max), min_size=1, max_size=5)
+    )
+    shape = draw(array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=9))
+    return draw(arrays(dtype, shape, elements=st.sampled_from(pool)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(keys=integer_keys())
+@example(keys=np.empty(0, dtype=np.int64))
+@example(keys=np.empty((0, 3), dtype=np.uint64))
+@example(keys=np.asarray([[7, 2**64 - 1], [0, 7]], dtype=np.uint64))
+def test_sorted_unique_equals_np_unique(keys):
+    out = sorted_unique(keys)
+    want = np.unique(keys)
+    assert out.dtype == want.dtype
+    np.testing.assert_array_equal(out, want)

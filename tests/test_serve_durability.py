@@ -602,6 +602,26 @@ class TestRecoverValidation:
         finally:
             recovered.close()
 
+    def test_boolean_mask_refused_before_journaling(
+        self, batches, tmp_path
+    ):
+        """A row mask passed to retire is refused, not read as rows 0/1."""
+        path = tmp_path / "j.wal"
+        service = IngestService(
+            StreamingALID(_config()), repeel="sync", wal=path
+        )
+        try:
+            service.ingest(batches["b1"])
+            mask = np.zeros(service._stream.n_items, dtype=bool)
+            mask[30:40] = True
+            with pytest.raises(ValidationError, match="boolean mask"):
+                service.retire(mask)
+            assert not service._stream.retired_mask.any()
+        finally:
+            service.close()
+        records, _, _ = read_records(path)
+        assert "retire" not in [record.kind for record in records]
+
     def test_wal_counters_and_stats(self, batches, tmp_path):
         root = tmp_path / "chain"
         service = _scripted_run(

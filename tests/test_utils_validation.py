@@ -161,6 +161,13 @@ class TestCheckIndexArray:
         with pytest.raises(ValidationError, match="1-D"):
             check_index_array(np.zeros((2, 2), dtype=int), 4)
 
+    def test_rejects_boolean_mask(self):
+        # Read as indices, this mask would select rows 0 and 1.
+        mask = np.zeros(40, dtype=bool)
+        mask[30:] = True
+        with pytest.raises(ValidationError, match="rows.*boolean mask"):
+            check_index_array(mask, 40, name="rows")
+
 
 class TestCheckQueryBlock:
     def test_vector_is_one_query(self):

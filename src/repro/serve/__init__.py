@@ -4,6 +4,11 @@ The paper separates fit-time from serve-time state (§4.6 keeps hash
 tables and data items in a server database that workers read); this
 package is that separation made concrete for the reproduction:
 
+* :mod:`repro.serve.artifact` — the one reader and writer of the
+  artifact format: per-kind declarations (format marker, schema
+  version, array dtypes and ndims), manifests, checksummed ``.npy``
+  files, SHA pins, and the typed decode guard every load (and the
+  journal) runs under.
 * :mod:`repro.serve.snapshot` — :class:`DetectionSnapshot`, a versioned
   on-disk artifact (``.npy`` arrays + JSON manifest with schema version
   and SHA-256 checksums) capturing a fitted run: data matrix, LSH hash
@@ -63,8 +68,8 @@ package is that separation made concrete for the reproduction:
   base + delta chain into a fresh base snapshot serving byte-identical
   assignments to the chain tip.
 * :mod:`repro.serve.verify` — :func:`verify_artifact` and friends,
-  the offline checksum / parent-link / journal audit behind
-  ``repro verify``.
+  the offline audit behind ``repro verify``: the serving load path,
+  one chain walk, and the journal's publish-marker pins.
 
 Exposed on the command line as ``repro snapshot`` / ``repro shard`` /
 ``repro assign [--workers N]`` / ``repro ingest [--wal]`` /

@@ -30,9 +30,10 @@ import re
 
 from repro.exceptions import SnapshotError
 from repro.obs.metrics import MetricsRegistry
+from repro.serve.artifact import MANIFEST_NAME
 from repro.serve.snapshot import DetectionSnapshot, SnapshotDelta
 
-__all__ = ["chain_artifacts", "compact_chain", "load_chain_tip"]
+__all__ = ["chain_artifacts", "compact_chain", "load_chain_tip", "walk_chain"]
 
 BASE_NAME = "base"
 _DELTA_RE = re.compile(r"^delta_(\d{4,})$")
@@ -79,7 +80,7 @@ def chain_artifacts(
                 f"{chain_dir}: delta numbering has a hole — found "
                 f"{path.name} where delta_{position:04d} was expected"
             )
-        if not (path / "manifest.json").is_file():
+        if not (path / MANIFEST_NAME).is_file():
             # An interrupted save: tolerable only as the chain's very
             # last directory (the publish that never committed).
             if position != len(numbered) - 1:
@@ -92,6 +93,39 @@ def chain_artifacts(
     return base, deltas
 
 
+def walk_chain(chain_dir, *, mmap: bool = False):
+    """Load a chain's base, then apply each delta in order.
+
+    Yields ``(path, artifact, state)`` once per step: the base snapshot
+    (artifact and state are the same object), then each loaded
+    :class:`~repro.serve.snapshot.SnapshotDelta` with the snapshot it
+    produced.  The one walk behind :func:`load_chain_tip`,
+    :func:`compact_chain` and :func:`repro.serve.verify.verify_chain`:
+    every artifact runs the full load checks, each delta's sequence
+    must equal its chain position, and
+    :meth:`~repro.serve.snapshot.SnapshotDelta.apply` checks its parent
+    link.
+
+    Raises
+    ------
+    SnapshotError
+        Any corrupt artifact, out-of-place sequence number or broken
+        parent link.
+    """
+    base_path, delta_paths = chain_artifacts(chain_dir)
+    state = DetectionSnapshot.load(base_path, mmap=mmap)
+    yield base_path, state, state
+    for position, delta_path in enumerate(delta_paths):
+        delta = SnapshotDelta.load(delta_path, mmap=mmap)
+        if delta.sequence != position:
+            raise SnapshotError(
+                f"{delta_path}: sequence {delta.sequence} at chain "
+                f"position {position}"
+            )
+        state = delta.apply(state)
+        yield delta_path, delta, state
+
+
 def load_chain_tip(
     chain_dir, *, mmap: bool = False
 ) -> DetectionSnapshot:
@@ -101,13 +135,9 @@ def load_chain_tip(
     broken parent link raises :class:`~repro.exceptions.SnapshotError`
     before any state escapes.
     """
-    base_path, delta_paths = chain_artifacts(chain_dir)
-    snapshot = DetectionSnapshot.load(base_path, mmap=mmap)
-    for delta_path in delta_paths:
-        snapshot = SnapshotDelta.load(delta_path, mmap=mmap).apply(
-            snapshot
-        )
-    return snapshot
+    for _, _, tip in walk_chain(chain_dir, mmap=mmap):
+        pass
+    return tip
 
 
 def compact_chain(
@@ -136,8 +166,9 @@ def compact_chain(
     out_dir:
         Where to write the compacted snapshot.  May be a fresh
         directory or an existing snapshot directory (overwritten with
-        the usual manifest-last discipline); it must not be the
-        chain's own ``base`` while the deltas still reference it.
+        the usual manifest-last discipline); it must not be one of the
+        chain's own artifacts (``base`` or a ``delta_NNNN``
+        directory), which the fold still reads from.
     mmap:
         Memory-map the chain's arrays while folding.
     registry:
@@ -147,22 +178,25 @@ def compact_chain(
     ------
     SnapshotError
         Any corrupt artifact, broken parent link, or *out_dir*
-        pointing at the chain's live base.
+        pointing at one of the chain's own artifacts.
     """
     chain_dir = pathlib.Path(chain_dir)
-    out_dir = pathlib.Path(out_dir)
-    if out_dir.resolve() == (chain_dir / BASE_NAME).resolve():
+    out = pathlib.Path(out_dir).resolve()
+    if out.parent == chain_dir.resolve() and (
+        out.name == BASE_NAME or _DELTA_RE.match(out.name)
+    ):
         raise SnapshotError(
-            f"refusing to compact {chain_dir} onto its own base: the "
-            f"chain's deltas would dangle; write to a fresh directory "
-            f"and swap"
+            f"refusing to compact {chain_dir} onto {out.name}: the "
+            f"chain's own base and deltas must stay intact; write to a "
+            f"fresh directory and swap"
         )
-    tip = load_chain_tip(chain_dir, mmap=mmap)
-    _, delta_paths = chain_artifacts(chain_dir)
+    # Step 0 is the base, so the last step's index counts the deltas.
+    for n_deltas, (_, _, tip) in enumerate(walk_chain(chain_dir, mmap=mmap)):
+        pass
     meta = dict(tip.meta)
     meta.pop("delta_sequence", None)
     meta["compacted_from"] = tip.manifest_sha256
-    meta["compacted_deltas"] = len(delta_paths)
+    meta["compacted_deltas"] = n_deltas
     compacted = DetectionSnapshot(
         data=tip.data,
         config=tip.config,

@@ -68,12 +68,14 @@ from repro.core.results import Cluster, DetectionResult
 from repro.exceptions import ValidationError, WALError
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import TID_INGEST
-from repro.serve.snapshot import (
+from repro.serve.artifact import (
     MANIFEST_NAME,
-    DetectionSnapshot,
-    SnapshotDelta,
-    _sha256_of,
+    check_pin,
+    child_dir,
+    decode_guard,
+    fields,
 )
+from repro.serve.snapshot import DetectionSnapshot, SnapshotDelta
 from repro.serve.wal import WALRecord, WriteAheadLog
 from repro.streaming.online import StreamingALID
 from repro.utils.timing import timed
@@ -694,13 +696,10 @@ class IngestService:
                 f"{wal_path}: journal does not start with a begin "
                 f"record; nothing to recover from"
             )
-        try:
-            config = ALIDConfig.from_dict(records[0].meta["config"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise WALError(
-                f"{wal_path}: begin record carries an invalid config: "
-                f"{exc}"
-            ) from exc
+        with decode_guard(
+            f"{wal_path}: begin record carries an invalid config", WALError
+        ):
+            config = ALIDConfig.from_dict(records[0].meta.get("config"))
         service = cls(
             StreamingALID(config), repeel="sync", registry=registry
         )
@@ -708,26 +707,24 @@ class IngestService:
         publishes = 0
         service._replaying = True
         try:
-            for number, record in enumerate(records[1:], start=1):
-                if record.kind == "ingest":
-                    service.ingest(record.arrays["points"])
-                elif record.kind == "retire":
-                    service.retire(record.arrays["indices"])
-                elif record.kind in ("publish_base", "publish_delta"):
-                    service._restore_publish_marker(record, chain_dir)
-                    publishes += 1
-                else:
-                    raise WALError(
-                        f"{wal_path}: unexpected {record.kind!r} record "
-                        f"at position {number}"
-                    )
-        except ValidationError as exc:
-            if isinstance(exc, WALError):
-                raise
-            raise WALError(
-                f"{wal_path}: replay failed — the journal and the "
-                f"stream disagree: {exc}"
-            ) from exc
+            with decode_guard(
+                f"{wal_path}: replay failed — the journal and the stream "
+                f"disagree",
+                WALError,
+            ):
+                for number, record in enumerate(records[1:], start=1):
+                    if record.kind == "ingest":
+                        service.ingest(record.arrays["points"])
+                    elif record.kind == "retire":
+                        service.retire(record.arrays["indices"])
+                    elif record.kind in ("publish_base", "publish_delta"):
+                        service._restore_publish_marker(record, chain_dir)
+                        publishes += 1
+                    else:
+                        raise WALError(
+                            f"{wal_path}: unexpected {record.kind!r} "
+                            f"record at position {number}"
+                        )
         finally:
             service._replaying = False
         service._wal = log
@@ -748,12 +745,9 @@ class IngestService:
     ) -> None:
         """Restore chain bookkeeping from one committed publish marker."""
         meta = record.meta
-        sha = meta.get("sha256")
-        n_items = meta.get("n_items")
-        if not isinstance(sha, str) or not isinstance(n_items, int):
-            raise WALError(
-                f"malformed {record.kind} marker: {meta!r}"
-            )
+        sha, n_items = fields(
+            meta, f"{record.kind} marker", WALError, sha256=str, n_items=int
+        )
         if n_items != self._stream.n_items:
             raise WALError(
                 f"{record.kind} marker covers {n_items} item(s) but "
@@ -761,23 +755,14 @@ class IngestService:
                 f"does not match the run that wrote it"
             )
         if chain_dir is not None and meta.get("name"):
-            manifest = (
-                pathlib.Path(chain_dir) / meta["name"] / MANIFEST_NAME
+            what = f"{record.kind} marker"
+            check_pin(
+                child_dir(chain_dir, meta["name"], what, WALError)
+                / MANIFEST_NAME,
+                sha,
+                what=f"{what} for {meta['name']!r}",
+                error=WALError,
             )
-            if not manifest.is_file():
-                raise WALError(
-                    f"{record.kind} marker names {meta['name']!r} but "
-                    f"{manifest} does not exist — the committed "
-                    f"artifact vanished"
-                )
-            disk_sha = _sha256_of(manifest)
-            if disk_sha != sha:
-                raise WALError(
-                    f"{record.kind} marker pins "
-                    f"{meta['name']!r} at {sha[:12]}... but the disk "
-                    f"artifact hashes to {disk_sha[:12]}... — the "
-                    f"chain diverged from the journal"
-                )
         self._published_sha = sha
         self._published_n = n_items
         self._published_clusters = {

@@ -53,13 +53,14 @@ Artifact layout
 snapshot rule: a readable plan certifies a complete shard set, and
 loading re-verifies every shard manifest and items file against the
 recorded checksums — a truncated or edited shard manifest fails the
-whole plan load, never one worker at a time.
+whole plan load, never one worker at a time.  Both files go through
+:mod:`repro.serve.artifact`, which also refuses a shard ``dir`` other
+than ``shard_NNN`` (the plan never points outside its root).
 """
 
 from __future__ import annotations
 
 import dataclasses
-import json
 import pathlib
 import shutil
 
@@ -68,11 +69,18 @@ import numpy as np
 from repro.core.results import Cluster
 from repro.exceptions import SnapshotError, ValidationError
 from repro.parallel.mapreduce import chunk_evenly
-from repro.serve.snapshot import (
+from repro.serve.artifact import (
     MANIFEST_NAME,
-    DetectionSnapshot,
-    _sha256_of,
+    PLAN,
+    check_pin,
+    expect,
+    fields,
+    read_manifest,
+    save_npy,
+    shard_dir_name,
+    write_manifest,
 )
+from repro.serve.snapshot import DetectionSnapshot
 
 __all__ = [
     "ShardPlan",
@@ -85,9 +93,9 @@ __all__ = [
     "STRATEGIES",
 ]
 
-SHARD_PLAN_FORMAT = "repro-alid-shard-plan"
-PLAN_SCHEMA_VERSION = 1
-PLAN_NAME = "plan.json"
+SHARD_PLAN_FORMAT = PLAN.fmt
+PLAN_SCHEMA_VERSION = PLAN.version
+PLAN_NAME = PLAN.manifest_name
 ITEMS_NAME = "items.npy"
 STRATEGIES = ("balanced", "contiguous")
 
@@ -164,137 +172,113 @@ class ShardPlan:
 
     def save(self) -> pathlib.Path:
         """Write ``plan.json`` (write-to-temp + rename) and return it."""
-        payload = {
-            "format": SHARD_PLAN_FORMAT,
-            "schema_version": PLAN_SCHEMA_VERSION,
-            "strategy": self.strategy,
-            "parent": {
-                "manifest_sha256": self.parent_manifest_sha256,
-                "n_items": int(self.parent_n_items),
-                "n_clusters": int(self.parent_n_clusters),
-                "dim": int(self.parent_dim),
+        write_manifest(
+            self.root,
+            PLAN,
+            {
+                "strategy": self.strategy,
+                "parent": {
+                    "manifest_sha256": self.parent_manifest_sha256,
+                    "n_items": int(self.parent_n_items),
+                    "n_clusters": int(self.parent_n_clusters),
+                    "dim": int(self.parent_dim),
+                },
+                "shards": [
+                    {
+                        "shard_id": s.shard_id,
+                        "dir": s.dir_name,
+                        "n_items": s.n_items,
+                        "n_clusters": s.n_clusters,
+                        "labels": [int(label) for label in s.labels],
+                        "manifest_sha256": s.manifest_sha256,
+                        "items_sha256": s.items_sha256,
+                    }
+                    for s in self.shards
+                ],
             },
-            "shards": [
-                {
-                    "shard_id": s.shard_id,
-                    "dir": s.dir_name,
-                    "n_items": s.n_items,
-                    "n_clusters": s.n_clusters,
-                    "labels": [int(label) for label in s.labels],
-                    "manifest_sha256": s.manifest_sha256,
-                    "items_sha256": s.items_sha256,
-                }
-                for s in self.shards
-            ],
-        }
-        plan_path = self.root / PLAN_NAME
-        tmp = self.root / (PLAN_NAME + ".tmp")
-        tmp.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-        tmp.replace(plan_path)
-        return plan_path
+        )
+        return self.root / PLAN_NAME
 
     @classmethod
     def load(cls, root) -> "ShardPlan":
         """Load and validate a shard plan directory.
 
-        Every shard's ``manifest.json`` and ``items.npy`` is existence-
-        and checksum-verified against the plan before anything serves —
-        a truncated shard manifest or swapped items file fails the whole
-        plan, so a worker pool never starts on a half-written shard set.
-        (The array payloads inside each shard are verified again by the
-        worker's own :meth:`DetectionSnapshot.load`.)
+        Every field is type-checked, every shard ``dir`` must be its
+        ``shard_NNN`` name, and every shard's ``manifest.json`` and
+        ``items.npy`` is existence- and checksum-verified against the
+        plan before anything serves — a truncated shard manifest or
+        swapped items file fails the whole plan, so a worker pool never
+        starts on a half-written shard set.  (The array payloads inside
+        each shard are verified again by the worker's own
+        :meth:`DetectionSnapshot.load`.)
 
         Raises
         ------
         SnapshotError
             Missing/unreadable ``plan.json``, wrong format, schema newer
-            than :data:`PLAN_SCHEMA_VERSION`, missing shard directory or
-            file, or a checksum mismatch.
+            than :data:`PLAN_SCHEMA_VERSION`, a malformed field, an
+            unknown strategy, a shard directory other than ``shard_NNN``,
+            a missing shard file, or a checksum mismatch.
         """
         root = pathlib.Path(root)
-        plan_path = root / PLAN_NAME
-        if not plan_path.is_file():
+        _, payload, _ = read_manifest(root, PLAN)
+        strategy, entries, parent = fields(
+            payload, f"{root}: plan", strategy=str, shards=list, parent=dict
+        )
+        n_items, n_clusters, dim = fields(
+            parent, f"{root}: plan parent", n_items=int, n_clusters=int,
+            dim=int,
+        )
+        parent_sha = parent.get("manifest_sha256")
+        if parent_sha is not None:
+            expect(parent_sha, str, f"{root}: plan parent manifest_sha256")
+        if strategy not in STRATEGIES:
             raise SnapshotError(
-                f"{root} is not a shard plan directory: no {PLAN_NAME}"
+                f"{root}: plan strategy {strategy[:40]!r} is not one of "
+                f"{STRATEGIES}"
             )
-        try:
-            payload = json.loads(plan_path.read_text())
-        except (OSError, json.JSONDecodeError) as exc:
-            raise SnapshotError(
-                f"{plan_path} is not readable JSON: {exc}"
-            ) from exc
-        if payload.get("format") != SHARD_PLAN_FORMAT:
-            raise SnapshotError(
-                f"{root}: plan format {payload.get('format')!r} is not "
-                f"{SHARD_PLAN_FORMAT!r}"
-            )
-        version = payload.get("schema_version")
-        if not isinstance(version, int) or version < 1:
-            raise SnapshotError(f"{root}: invalid schema_version {version!r}")
-        if version > PLAN_SCHEMA_VERSION:
-            raise SnapshotError(
-                f"{root}: plan schema_version {version} is newer than this "
-                f"library understands (max {PLAN_SCHEMA_VERSION})"
-            )
-        parent = payload.get("parent", {})
-        entries = payload.get("shards")
-        if not isinstance(entries, list) or not entries:
+        if not entries:
             raise SnapshotError(f"{root}: plan lists no shards")
-        shards: list[ShardSpec] = []
-        for position, entry in enumerate(entries):
-            if not isinstance(entry, dict) or "dir" not in entry:
-                raise SnapshotError(
-                    f"{root}: malformed shard entry at position {position}"
-                )
-            if entry.get("shard_id") != position:
-                raise SnapshotError(
-                    f"{root}: shard ids must be contiguous from 0, got "
-                    f"{entry.get('shard_id')!r} at position {position}"
-                )
-            shard_dir = root / entry["dir"]
-            manifest_path = shard_dir / MANIFEST_NAME
-            if not manifest_path.is_file():
-                raise SnapshotError(
-                    f"{root}: shard {entry['dir']} has no {MANIFEST_NAME}"
-                )
-            digest = _sha256_of(manifest_path)
-            if digest != entry.get("manifest_sha256"):
-                raise SnapshotError(
-                    f"{root}: shard {entry['dir']} manifest checksum "
-                    f"mismatch (file {digest[:12]}..., plan "
-                    f"{str(entry.get('manifest_sha256'))[:12]}...) — the "
-                    f"shard was truncated or rewritten after planning"
-                )
-            items_path = shard_dir / ITEMS_NAME
-            if not items_path.is_file():
-                raise SnapshotError(
-                    f"{root}: shard {entry['dir']} has no {ITEMS_NAME}"
-                )
-            items_digest = _sha256_of(items_path)
-            if items_digest != entry.get("items_sha256"):
-                raise SnapshotError(
-                    f"{root}: shard {entry['dir']} items checksum mismatch"
-                )
-            shards.append(
-                ShardSpec(
-                    shard_id=position,
-                    dir_name=str(entry["dir"]),
-                    n_items=int(entry.get("n_items", 0)),
-                    n_clusters=int(entry.get("n_clusters", 0)),
-                    labels=[int(label) for label in entry.get("labels", [])],
-                    manifest_sha256=str(entry["manifest_sha256"]),
-                    items_sha256=str(entry["items_sha256"]),
-                )
-            )
         return cls(
             root=root,
-            parent_manifest_sha256=parent.get("manifest_sha256"),
-            parent_n_items=int(parent.get("n_items", 0)),
-            parent_n_clusters=int(parent.get("n_clusters", 0)),
-            parent_dim=int(parent.get("dim", 0)),
-            strategy=str(payload.get("strategy", "")),
-            shards=shards,
+            parent_manifest_sha256=parent_sha,
+            parent_n_items=n_items,
+            parent_n_clusters=n_clusters,
+            parent_dim=dim,
+            strategy=strategy,
+            shards=[
+                _load_spec(root, position, entry)
+                for position, entry in enumerate(entries)
+            ],
         )
+
+
+def _load_spec(root: pathlib.Path, position: int, entry) -> ShardSpec:
+    """Type-check one ``plan.json`` shard entry and pin its two files."""
+    where = f"{root}: shard entry {position}"
+    shard_id, dir_name, n_items, n_clusters, labels, manifest_sha, items_sha = (
+        fields(entry, where, shard_id=int, dir=str, n_items=int,
+               n_clusters=int, labels=list, manifest_sha256=str,
+               items_sha256=str)
+    )
+    if shard_id != position:
+        raise SnapshotError(
+            f"{root}: shard ids must be contiguous from 0, got "
+            f"{shard_id} at position {position}"
+        )
+    if dir_name != shard_dir_name(position):
+        raise SnapshotError(
+            f"{where}: dir {dir_name[:60]!r} is not "
+            f"{shard_dir_name(position)!r}; refusing to follow it"
+        )
+    for label in labels:
+        expect(label, int, f"{where} label")
+    check_pin(root / dir_name / MANIFEST_NAME, manifest_sha,
+              what=f"{root}: shard {dir_name} manifest")
+    check_pin(root / dir_name / ITEMS_NAME, items_sha,
+              what=f"{root}: shard {dir_name} items")
+    return ShardSpec(position, dir_name, n_items, n_clusters, labels,
+                     manifest_sha, items_sha)
 
 
 class ShardPlanner:
@@ -502,21 +486,19 @@ class ShardPlanner:
             },
             quality=quality,
         )
-        dir_name = f"shard_{shard_id:03d}"
+        dir_name = shard_dir_name(shard_id)
         shard_dir = root / dir_name
         shard.save(shard_dir)
-        items_path = shard_dir / ITEMS_NAME
-        tmp_path = shard_dir / (ITEMS_NAME + ".tmp.npy")
-        np.save(tmp_path, items.astype(np.int64))
-        tmp_path.replace(items_path)
         return ShardSpec(
             shard_id=shard_id,
             dir_name=dir_name,
             n_items=int(items.size),
             n_clusters=len(clusters),
             labels=[int(c.label) for c in clusters],
-            manifest_sha256=_sha256_of(shard_dir / MANIFEST_NAME),
-            items_sha256=_sha256_of(items_path),
+            manifest_sha256=shard.manifest_sha256,
+            items_sha256=save_npy(
+                shard_dir / ITEMS_NAME, items.astype(np.int64)
+            ),
         )
 
 
@@ -597,8 +579,7 @@ def replan_for_delta(
     label_to_row = {
         int(c.label): row for row, c in enumerate(snapshot.clusters)
     }
-    strategy = plan.strategy if plan.strategy in STRATEGIES else "balanced"
-    planner = ShardPlanner(n_shards=len(plan.shards), strategy=strategy)
+    planner = ShardPlanner(n_shards=len(plan.shards), strategy=plan.strategy)
     (plan.root / PLAN_NAME).unlink(missing_ok=True)
     specs = list(plan.shards)
     for sid in sorted(touched):

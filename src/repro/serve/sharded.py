@@ -70,12 +70,7 @@ from repro.obs.metrics import MetricsRegistry, default_latency_bounds_ms
 from repro.obs.trace import TID_SUPERVISOR
 from repro.serve.assigner import Assignment, ClusterAssigner
 from repro.serve.ipc import recv_message, send_message
-from repro.serve.plan import (
-    STRATEGIES,
-    ShardPlan,
-    ShardPlanner,
-    replan_for_delta,
-)
+from repro.serve.plan import ShardPlan, ShardPlanner, replan_for_delta
 from repro.serve.router import BatchingRouter
 from repro.serve.service import _ServingCounters
 from repro.serve.snapshot import DetectionSnapshot, SnapshotDelta
@@ -739,11 +734,8 @@ class ShardedClusterService:
         if replanned is None:
             # A touched shard emptied out: re-plan the same root (same
             # shard count and strategy) and respawn every shard.
-            strategy = (
-                plan.strategy if plan.strategy in STRATEGIES else "balanced"
-            )
             new_plan = ShardPlanner(
-                n_shards=plan.n_shards, strategy=strategy
+                n_shards=plan.n_shards, strategy=plan.strategy
             ).plan(new_full, plan.root)
             touched = list(range(new_plan.n_shards))
         else:

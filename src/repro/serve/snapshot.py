@@ -1,10 +1,7 @@
-"""Versioned on-disk snapshots of a fitted detection.
+"""Versioned on-disk snapshots of a fitted detection, and their deltas.
 
-A snapshot is a directory holding plain ``.npy`` arrays plus a JSON
-manifest (``manifest.json``) with a schema version and a SHA-256
-checksum per array file.  It captures everything a serve-time process
-needs to answer "which dominant cluster does this query belong to?"
-without refitting:
+A snapshot captures everything a serve-time process needs to answer
+"which dominant cluster does this query belong to?" without refitting:
 
 * the data matrix (the paper's ``V``, the items the clusters live over);
 * the fitted LSH state — Gaussian projections, segment offsets, key
@@ -17,46 +14,28 @@ without refitting:
   (:func:`repro.core.results.pack_clusters` — the same packing the
   detection archive of :mod:`repro.io` uses).
 
-Design rules:
+It persists as a directory of plain ``.npy`` arrays plus a checksummed
+JSON manifest, read and written only through :mod:`repro.serve.artifact`:
+loads are all-or-nothing (:class:`~repro.exceptions.SnapshotError`,
+never corrupt state), ``mmap=True`` maps the big payloads read-only,
+and the manifest is written last.  ``load(save(state))`` restores hash
+keys, CSR tables, kernel and strategies bit-identically, so a reloaded
+snapshot assigns every query the same cluster and score.
 
-* **Loads are all-or-nothing.**  A missing or truncated array file, a
-  checksum mismatch, a malformed manifest, or a schema version newer
-  than this library raises
-  :class:`~repro.exceptions.SnapshotError`; corrupt state is never
-  returned.
-* **Round-trips are bit-identical.** ``load(save(state))`` restores hash
-  keys, CSR tables, kernel and strategies exactly, so a reloaded
-  snapshot assigns every query the same cluster and score the original
-  process would.
-* **Arrays are plain ``.npy`` files** so ``mmap=True`` can map the big
-  payloads (data matrix, bucket keys) read-only instead of copying them
-  — a multi-GB snapshot serves without materialising its matrix.
-* **The manifest is written last**, so a directory with a readable
-  manifest is a complete snapshot; interrupted saves are detected as
-  missing-manifest errors, never as silent partial state.
-
-Incremental deltas
-------------------
-:class:`SnapshotDelta` is the *incremental* sibling of the full
-snapshot: a checksummed, versioned directory recording only what one
-ingest round changed against a parent artifact — appended data rows,
-their per-table LSH bucket keys (the insert state of
-:meth:`repro.lsh.index.LSHIndex.insert`), retired/replaced cluster
-labels, and the replacement/new clusters.  Deltas chain: each records
-the SHA-256 of the manifest of the artifact it applies on top of (the
-base snapshot's for the first delta, the previous delta's afterwards),
-so a serving process can refuse out-of-order or foreign deltas before
-touching any state.  The same all-or-nothing load rules apply — every
-array is size- and checksum-verified, and :meth:`SnapshotDelta.apply`
-validates parentage and shape before building the new in-memory
-snapshot, so a failed application leaves the serving snapshot untouched.
+:class:`SnapshotDelta` is the incremental sibling: only what one ingest
+round changed against a parent artifact — appended rows, their
+per-table LSH bucket keys (the insert state of
+:meth:`repro.lsh.index.LSHIndex.insert`), retired rows, retired or
+replaced cluster labels, and the replacement/new clusters.  Deltas
+chain: each records the manifest SHA-256 of the artifact it applies on
+top of, and :meth:`SnapshotDelta.apply` checks that link and every
+shape before building the new in-memory snapshot, so a failed
+application leaves the serving snapshot untouched.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import hashlib
-import json
 import pathlib
 
 import numpy as np
@@ -65,12 +44,24 @@ from repro.affinity.kernel import LaplacianKernel
 from repro.affinity.oracle import AffinityCounters, AffinityOracle
 from repro.core.config import ALIDConfig
 from repro.core.results import Cluster, pack_clusters, unpack_clusters
-from repro.exceptions import SnapshotError, ValidationError
+from repro.exceptions import SnapshotError
 from repro.lsh.index import LSHIndex
+from repro.serve.artifact import (
+    DELTA,
+    MANIFEST_NAME,
+    SNAPSHOT,
+    decode_guard,
+    expect,
+    fields,
+    load_arrays,
+    read_manifest,
+    write_artifact,
+)
 
 __all__ = [
     "DetectionSnapshot",
     "SnapshotDelta",
+    "MANIFEST_NAME",
     "SCHEMA_VERSION",
     "SNAPSHOT_FORMAT",
     "DELTA_SCHEMA_VERSION",
@@ -79,190 +70,39 @@ __all__ = [
 
 # v2 added the optional per-cluster ``quality`` manifest block
 # (``repro.arena.quality``); v1 snapshots load fine with quality=None.
-SCHEMA_VERSION = 2
-SNAPSHOT_FORMAT = "repro-alid-detection-snapshot"
+SCHEMA_VERSION = SNAPSHOT.version
+SNAPSHOT_FORMAT = SNAPSHOT.fmt
 # Delta v2 added the ``retired_rows`` tombstone array (retirement
 # deltas: expiring items/clusters no longer republishes a base); v1
 # deltas load fine with an empty retirement set.
-DELTA_SCHEMA_VERSION = 2
-DELTA_FORMAT = "repro-alid-snapshot-delta"
-MANIFEST_NAME = "manifest.json"
-ARRAY_DIR = "arrays"
+DELTA_SCHEMA_VERSION = DELTA.version
+DELTA_FORMAT = DELTA.fmt
 
-# Every array a complete snapshot must carry.  The cluster_* entries are
-# the pack_clusters() keys with a "cluster_" prefix.
-_INDEX_ARRAYS = (
-    "projections",
-    "hash_offsets",
-    "mixers",
-    "item_keys",
-    "active",
-)
-_CLUSTER_ARRAYS = (
-    "cluster_members",
-    "cluster_weights",
-    "cluster_offsets",
-    "cluster_densities",
-    "cluster_labels",
-    "cluster_seeds",
-)
-_REQUIRED_ARRAYS = ("data",) + _INDEX_ARRAYS + _CLUSTER_ARRAYS
-
-# Every array a complete delta must carry: the appended rows and their
-# per-table LSH insert state, the retired/replaced labels, the
-# tombstoned data rows (v2), and the upserted clusters in the same
-# pack_clusters() layout snapshots use.
-_DELTA_ARRAYS_V1 = (
-    "appended_data",
-    "appended_item_keys",
-    "removed_labels",
-) + _CLUSTER_ARRAYS
-_DELTA_ARRAYS = (
-    "appended_data",
-    "appended_item_keys",
-    "removed_labels",
-    "retired_rows",
-) + _CLUSTER_ARRAYS
-
-_HASH_CHUNK = 1 << 20
+_INDEX_ARRAYS = ("projections", "hash_offsets", "mixers", "item_keys", "active")
 
 
-def _json_default(value):
-    """Coerce numpy scalars for the manifest; reject anything else.
-
-    ``default=str`` would silently stringify unknown values (e.g. a
-    ``delta`` passed as ``np.int32``), writing a manifest whose config
-    section can never be loaded back — a snapshot bricked at save time.
-    Coercing the common numpy cases keeps such configs round-tripping;
-    genuinely unserialisable values fail the *save*, loudly.
-    """
-    if isinstance(value, np.integer):
-        return int(value)
-    if isinstance(value, np.floating):
-        return float(value)
-    if isinstance(value, np.bool_):
-        return bool(value)
-    if isinstance(value, np.ndarray):
-        return value.tolist()
-    raise TypeError(
-        f"manifest value {value!r} ({type(value).__name__}) is not "
-        f"JSON-serializable"
-    )
+def _packed_clusters(clusters: list[Cluster]) -> dict[str, np.ndarray]:
+    """The ``cluster_*`` arrays of a snapshot or delta."""
+    return {f"cluster_{k}": v for k, v in pack_clusters(clusters).items()}
 
 
-def _sha256_of(path: pathlib.Path) -> str:
-    """Streamed SHA-256 of a file (constant memory, works on huge arrays)."""
-    digest = hashlib.sha256()
-    with open(path, "rb") as handle:
-        while True:
-            chunk = handle.read(_HASH_CHUNK)
-            if not chunk:
-                break
-            digest.update(chunk)
-    return digest.hexdigest()
-
-
-def _write_array(array_dir: pathlib.Path, name: str, array) -> dict:
-    """Write one ``.npy`` (write-to-temp + rename) and return its manifest entry.
-
-    Never truncates an existing ``.npy`` in place: an artifact loaded
-    with ``mmap=True`` from this very directory keeps reading its (now
-    anonymous) old inode, and a crash mid-write leaves the previous
-    array file intact.
-    """
-    file_path = array_dir / f"{name}.npy"
-    tmp_path = array_dir / f"{name}.tmp.npy"  # np.save keeps .npy
-    np.save(tmp_path, array)
-    tmp_path.replace(file_path)
-    return {
-        "file": f"{ARRAY_DIR}/{name}.npy",
-        "sha256": _sha256_of(file_path),
-        "bytes": file_path.stat().st_size,
-        "shape": list(np.asarray(array).shape),
-        "dtype": str(np.asarray(array).dtype),
-    }
-
-
-def _load_verified_array(
-    path: pathlib.Path, name: str, entry, *, mmap: bool
-) -> np.ndarray:
-    """Existence-, size- and checksum-verify one array entry, then load it.
-
-    Shared by snapshot and delta loads so the two artifact kinds cannot
-    drift on integrity rules.  Raises :class:`SnapshotError` on any
-    mismatch; verification streams the file, so even ``mmap=True``
-    loads never hold a full copy in memory.
-    """
-    if not isinstance(entry, dict) or "file" not in entry:
-        raise SnapshotError(
-            f"{path}: manifest has no array entry for {name!r}"
+def _unpacked_clusters(path, arrays: dict, n_items: int) -> list[Cluster]:
+    """Rebuild the clusters of a loaded artifact, or raise SnapshotError."""
+    with decode_guard(f"{path}: cluster arrays are inconsistent"):
+        return unpack_clusters(
+            {
+                key[len("cluster_"):]: value
+                for key, value in arrays.items()
+                if key.startswith("cluster_")
+            },
+            n_items=n_items,
         )
-    file_path = path / entry["file"]
-    if not file_path.is_file():
-        raise SnapshotError(
-            f"{path}: array file {entry['file']} is missing"
-        )
-    expected_bytes = entry.get("bytes")
-    actual_bytes = file_path.stat().st_size
-    if expected_bytes is not None and actual_bytes != expected_bytes:
-        raise SnapshotError(
-            f"{path}: array file {entry['file']} is truncated or "
-            f"padded ({actual_bytes} bytes, manifest says "
-            f"{expected_bytes})"
-        )
-    digest = _sha256_of(file_path)
-    if digest != entry.get("sha256"):
-        raise SnapshotError(
-            f"{path}: checksum mismatch for {entry['file']} "
-            f"(file {digest[:12]}..., manifest "
-            f"{str(entry.get('sha256'))[:12]}...)"
-        )
-    try:
-        return np.load(
-            file_path,
-            mmap_mode="r" if mmap else None,
-            allow_pickle=False,
-        )
-    except ValueError as exc:
-        raise SnapshotError(
-            f"{path}: array file {entry['file']} is not a valid "
-            f".npy payload: {exc}"
-        ) from exc
 
 
-def _read_manifest(
-    path: pathlib.Path, *, fmt: str, max_version: int, kind: str
-) -> dict:
-    """Read + validate a manifest's format/version envelope, or raise."""
-    manifest_path = path / MANIFEST_NAME
-    if not manifest_path.is_file():
-        raise SnapshotError(
-            f"{path} is not a {kind} directory: no {MANIFEST_NAME} "
-            f"(an interrupted save never writes one)"
-        )
-    try:
-        manifest = json.loads(manifest_path.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise SnapshotError(
-            f"{manifest_path} is not readable JSON: {exc}"
-        ) from exc
-    if manifest.get("format") != fmt:
-        raise SnapshotError(
-            f"{path}: manifest format {manifest.get('format')!r} is not "
-            f"{fmt!r}"
-        )
-    version = manifest.get("schema_version")
-    if not isinstance(version, int) or version < 1:
-        raise SnapshotError(
-            f"{path}: invalid schema_version {version!r}"
-        )
-    if version > max_version:
-        raise SnapshotError(
-            f"{path}: {kind} schema_version {version} is newer than "
-            f"this library understands (max {max_version}); upgrade "
-            f"the library instead of serving corrupt state"
-        )
-    return manifest
+def _meta(path, manifest: dict) -> dict:
+    """A manifest's free-form ``meta`` section (empty when absent)."""
+    meta = manifest.get("meta", {})
+    return dict(expect(meta, dict, f"{path}: manifest section 'meta'"))
 
 
 @dataclasses.dataclass
@@ -386,10 +226,15 @@ class DetectionSnapshot:
     # runtime reconstruction
     # ------------------------------------------------------------------
     def restore_index(self) -> LSHIndex:
-        """Rebuild the LSH index (bit-identical buckets, no re-hashing)."""
-        return LSHIndex.from_state(
-            self.data, r=self.lsh_r, **self.index_arrays
-        )
+        """Rebuild the LSH index (bit-identical buckets, no re-hashing).
+
+        Raises :class:`SnapshotError` when the index arrays disagree
+        with the data matrix or each other (shapes, non-finite data).
+        """
+        with decode_guard("snapshot LSH state does not restore"):
+            return LSHIndex.from_state(
+                self.data, r=self.lsh_r, **self.index_arrays
+            )
 
     def make_oracle(
         self, counters: AffinityCounters | None = None
@@ -417,22 +262,12 @@ class DetectionSnapshot:
         rather than read a directory being rewritten.
         """
         path = pathlib.Path(path)
-        array_dir = path / ARRAY_DIR
-        array_dir.mkdir(parents=True, exist_ok=True)
-        (path / MANIFEST_NAME).unlink(missing_ok=True)
-        arrays: dict[str, np.ndarray] = {
-            "data": np.ascontiguousarray(self.data, dtype=np.float64)
+        arrays = {
+            "data": np.ascontiguousarray(self.data, dtype=np.float64),
+            **self.index_arrays,
+            **_packed_clusters(self.clusters),
         }
-        arrays.update(self.index_arrays)
-        packed = pack_clusters(self.clusters)
-        arrays.update({f"cluster_{k}": v for k, v in packed.items()})
-        manifest_arrays = {
-            name: _write_array(array_dir, name, arrays[name])
-            for name in _REQUIRED_ARRAYS
-        }
-        manifest = {
-            "format": SNAPSHOT_FORMAT,
-            "schema_version": SCHEMA_VERSION,
+        body = {
             "config": dataclasses.asdict(self.config),
             "kernel": {"k": self.kernel.k, "p": self.kernel.p},
             "lsh": {"r": float(self.lsh_r)},
@@ -442,37 +277,27 @@ class DetectionSnapshot:
                 "n_clusters": self.n_clusters,
             },
             "meta": self.meta,
-            "arrays": manifest_arrays,
         }
         if self.quality is not None:
-            manifest["quality"] = {
+            body["quality"] = {
                 str(int(label)): {
                     str(metric): float(score)
                     for metric, score in scores.items()
                 }
                 for label, scores in self.quality.items()
             }
-        try:
-            payload = json.dumps(
-                manifest, indent=2, sort_keys=True, default=_json_default
-            )
-        except TypeError as exc:
-            raise SnapshotError(
-                f"snapshot config/meta cannot be persisted: {exc}"
-            ) from exc
-        tmp = path / (MANIFEST_NAME + ".tmp")
-        tmp.write_text(payload + "\n")
-        tmp.replace(path / MANIFEST_NAME)
-        self.manifest_sha256 = _sha256_of(path / MANIFEST_NAME)
+        self.manifest_sha256 = write_artifact(path, SNAPSHOT, arrays, body)
         return path
 
     @classmethod
     def load(cls, path, *, mmap: bool = False) -> "DetectionSnapshot":
         """Load and validate a snapshot directory.
 
-        Every array file is existence-, size- and checksum-verified
+        Runs every check of :mod:`repro.serve.artifact` — envelope,
+        each array's path, size, SHA-256, header, dtype and shape —
         before anything is constructed (verification streams the file,
         so even ``mmap=True`` loads never hold a full copy in memory).
+        The LSH index is not rebuilt here; :meth:`restore_index` does.
 
         Parameters
         ----------
@@ -487,68 +312,50 @@ class DetectionSnapshot:
         ------
         SnapshotError
             Missing/unreadable manifest, wrong format, schema version
-            newer than :data:`SCHEMA_VERSION`, missing array entry or
-            file, truncated file, or checksum mismatch.
+            newer than :data:`SCHEMA_VERSION`, a malformed section, a
+            missing, misplaced, truncated, tampered or mistyped array
+            file, or inconsistent cluster arrays.
         """
         path = pathlib.Path(path)
-        manifest = _read_manifest(
-            path,
-            fmt=SNAPSHOT_FORMAT,
-            max_version=SCHEMA_VERSION,
-            kind="snapshot",
-        )
-        entries = manifest.get("arrays", {})
-        arrays: dict[str, np.ndarray] = {
-            name: _load_verified_array(
-                path, name, entries.get(name), mmap=mmap
+        _, manifest, sha = read_manifest(path, SNAPSHOT)
+        arrays = load_arrays(path, SNAPSHOT, manifest, mmap=mmap)
+        with decode_guard(f"{path}: manifest config/kernel section is invalid"):
+            config = ALIDConfig.from_dict(manifest.get("config"))
+            number = (int, float)
+            k, p = fields(
+                manifest.get("kernel"), f"{path}: manifest section 'kernel'",
+                k=number, p=number,
             )
-            for name in _REQUIRED_ARRAYS
-        }
-        try:
-            config = ALIDConfig.from_dict(manifest["config"])
-            kernel = LaplacianKernel(
-                k=float(manifest["kernel"]["k"]),
-                p=float(manifest["kernel"]["p"]),
+            kernel = LaplacianKernel(k=float(k), p=float(p))
+            (lsh_r,) = fields(
+                manifest.get("lsh"), f"{path}: manifest section 'lsh'",
+                r=number,
             )
-            lsh_r = float(manifest["lsh"]["r"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise SnapshotError(
-                f"{path}: manifest config/kernel section is invalid: {exc}"
-            ) from exc
-        try:
-            clusters = unpack_clusters(
-                {
-                    key[len("cluster_"):]: arrays[key]
-                    for key in _CLUSTER_ARRAYS
-                },
-                n_items=int(arrays["data"].shape[0]),
-            )
-        except ValidationError as exc:
-            raise SnapshotError(
-                f"{path}: cluster arrays are inconsistent: {exc}"
-            ) from exc
-        quality_block = manifest.get("quality")
-        quality = (
-            None
-            if quality_block is None
-            else {
-                int(label): {
-                    str(metric): float(score)
-                    for metric, score in scores.items()
+        clusters = _unpacked_clusters(path, arrays, arrays["data"].shape[0])
+        quality = manifest.get("quality")
+        if quality is not None:
+            with decode_guard(f"{path}: manifest quality block is invalid"):
+                quality = {
+                    int(label): {
+                        str(metric): float(score)
+                        for metric, score in expect(
+                            scores, dict, f"{path}: quality of label {label}"
+                        ).items()
+                    }
+                    for label, scores in expect(
+                        quality, dict, f"{path}: manifest section 'quality'"
+                    ).items()
                 }
-                for label, scores in quality_block.items()
-            }
-        )
         return cls(
             data=arrays["data"],
             config=config,
             kernel=kernel,
-            lsh_r=lsh_r,
+            lsh_r=float(lsh_r),
             index_arrays={name: arrays[name] for name in _INDEX_ARRAYS},
             clusters=clusters,
-            meta=dict(manifest.get("meta", {})),
+            meta=_meta(path, manifest),
             quality=quality,
-            manifest_sha256=_sha256_of(path / MANIFEST_NAME),
+            manifest_sha256=sha,
         )
 
 
@@ -656,32 +463,18 @@ class SnapshotDelta:
         delta, and interrupted saves read as missing-manifest errors.
         """
         path = pathlib.Path(path)
-        array_dir = path / ARRAY_DIR
-        array_dir.mkdir(parents=True, exist_ok=True)
-        (path / MANIFEST_NAME).unlink(missing_ok=True)
-        arrays: dict[str, np.ndarray] = {
+        arrays = {
             "appended_data": np.ascontiguousarray(
                 self.appended_data, dtype=np.float64
             ),
             "appended_item_keys": np.ascontiguousarray(
                 self.appended_item_keys, dtype=np.uint64
             ),
-            "removed_labels": np.asarray(
-                self.removed_labels, dtype=np.int64
-            ),
-            "retired_rows": np.asarray(
-                self.retired_rows, dtype=np.int64
-            ),
+            "removed_labels": np.asarray(self.removed_labels, dtype=np.int64),
+            "retired_rows": np.asarray(self.retired_rows, dtype=np.int64),
+            **_packed_clusters(self.clusters),
         }
-        packed = pack_clusters(self.clusters)
-        arrays.update({f"cluster_{k}": v for k, v in packed.items()})
-        manifest_arrays = {
-            name: _write_array(array_dir, name, arrays[name])
-            for name in _DELTA_ARRAYS
-        }
-        manifest = {
-            "format": DELTA_FORMAT,
-            "schema_version": DELTA_SCHEMA_VERSION,
+        body = {
             "parent": {
                 "sha256": self.parent_sha256,
                 "n_items": int(self.parent_n_items),
@@ -694,113 +487,56 @@ class SnapshotDelta:
                 "n_retired_rows": self.n_retired_rows,
             },
             "meta": self.meta,
-            "arrays": manifest_arrays,
         }
-        try:
-            payload = json.dumps(
-                manifest, indent=2, sort_keys=True, default=_json_default
-            )
-        except TypeError as exc:
-            raise SnapshotError(
-                f"delta meta cannot be persisted: {exc}"
-            ) from exc
-        tmp = path / (MANIFEST_NAME + ".tmp")
-        tmp.write_text(payload + "\n")
-        tmp.replace(path / MANIFEST_NAME)
-        self.manifest_sha256 = _sha256_of(path / MANIFEST_NAME)
+        self.manifest_sha256 = write_artifact(path, DELTA, arrays, body)
         return path
 
     @classmethod
     def load(cls, path, *, mmap: bool = False) -> "SnapshotDelta":
         """Load and validate a delta directory, all-or-nothing.
 
-        Every array file is existence-, size- and checksum-verified
-        before anything is constructed, exactly like
-        :meth:`DetectionSnapshot.load`.
+        Runs the same :mod:`repro.serve.artifact` checks as
+        :meth:`DetectionSnapshot.load` before anything is constructed.
+        v1 deltas predate retirement: they carry no ``retired_rows``
+        array and load with an empty tombstone set.
 
         Raises
         ------
         SnapshotError
             Missing/unreadable manifest, wrong format, schema version
             newer than :data:`DELTA_SCHEMA_VERSION`, malformed parent
-            section, missing array entry or file, truncated file, or
-            checksum mismatch.
+            or meta section, a missing, misplaced, truncated, tampered
+            or mistyped array file, or arrays that disagree.
         """
         path = pathlib.Path(path)
-        manifest = _read_manifest(
-            path,
-            fmt=DELTA_FORMAT,
-            max_version=DELTA_SCHEMA_VERSION,
-            kind="delta",
+        _, manifest, sha = read_manifest(path, DELTA)
+        parent_sha, parent_n, sequence = fields(
+            manifest.get("parent"), f"{path}: delta manifest parent section",
+            sha256=str, n_items=int, sequence=int,
         )
-        parent = manifest.get("parent")
-        if (
-            not isinstance(parent, dict)
-            or not isinstance(parent.get("sha256"), str)
-            or not isinstance(parent.get("n_items"), int)
-            or not isinstance(parent.get("sequence"), int)
-        ):
-            raise SnapshotError(
-                f"{path}: delta manifest parent section is invalid: "
-                f"{parent!r}"
-            )
-        entries = manifest.get("arrays", {})
-        # v1 deltas predate retirement: they carry no retired_rows
-        # array and load with an empty tombstone set.
-        names = (
-            _DELTA_ARRAYS_V1
-            if manifest["schema_version"] < 2
-            else _DELTA_ARRAYS
-        )
-        arrays: dict[str, np.ndarray] = {
-            name: _load_verified_array(
-                path, name, entries.get(name), mmap=mmap
-            )
-            for name in names
-        }
-        retired_rows = arrays.get(
-            "retired_rows", np.zeros(0, dtype=np.int64)
-        )
-        if np.asarray(retired_rows).ndim != 1:
-            raise SnapshotError(
-                f"{path}: retired_rows must be 1-D, got shape "
-                f"{np.asarray(retired_rows).shape}"
-            )
+        arrays = load_arrays(path, DELTA, manifest, mmap=mmap)
         appended = arrays["appended_data"]
-        if appended.ndim != 2:
-            raise SnapshotError(
-                f"{path}: appended_data must be 2-D, got shape "
-                f"{appended.shape}"
-            )
         keys = arrays["appended_item_keys"]
-        if keys.ndim != 2 or keys.shape[1] != appended.shape[0]:
+        if keys.shape[1] != appended.shape[0]:
             raise SnapshotError(
                 f"{path}: appended_item_keys shape {keys.shape} does not "
                 f"cover {appended.shape[0]} appended row(s)"
             )
-        try:
-            clusters = unpack_clusters(
-                {
-                    key[len("cluster_"):]: arrays[key]
-                    for key in _CLUSTER_ARRAYS
-                },
-                n_items=int(parent["n_items"]) + int(appended.shape[0]),
-            )
-        except ValidationError as exc:
-            raise SnapshotError(
-                f"{path}: delta cluster arrays are inconsistent: {exc}"
-            ) from exc
         return cls(
-            parent_sha256=parent["sha256"],
-            parent_n_items=int(parent["n_items"]),
-            sequence=int(parent["sequence"]),
+            parent_sha256=parent_sha,
+            parent_n_items=parent_n,
+            sequence=sequence,
             appended_data=appended,
             appended_item_keys=keys,
             removed_labels=arrays["removed_labels"],
-            clusters=clusters,
-            retired_rows=retired_rows,
-            meta=dict(manifest.get("meta", {})),
-            manifest_sha256=_sha256_of(path / MANIFEST_NAME),
+            clusters=_unpacked_clusters(
+                path, arrays, parent_n + appended.shape[0]
+            ),
+            retired_rows=arrays.get(
+                "retired_rows", np.zeros(0, dtype=np.int64)
+            ),
+            meta=_meta(path, manifest),
+            manifest_sha256=sha,
         )
 
     # ------------------------------------------------------------------

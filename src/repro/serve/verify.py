@@ -1,35 +1,40 @@
 """Offline artifact audit: snapshots, delta chains, write-ahead logs.
 
-The read-only integrity half of the durability story: everything the
-serving and recovery paths check *implicitly* (array checksums,
-manifest envelopes, delta parent-SHA links, WAL record CRCs, publish
-markers) is checkable here *explicitly*, without standing up a service
-or touching any state.  ``repro verify`` is the CLI face: exit 0 with
-a summary line per artifact, or exit 2 with a one-line diagnosis.
+The read-only integrity half of the durability story, run through the
+serving load path itself, so ``repro verify`` refuses exactly what a
+serving process would: a snapshot is audited by
+:meth:`~repro.serve.snapshot.DetectionSnapshot.load` plus the LSH index
+restore :class:`~repro.serve.service.ClusterService` performs at
+start-up; a chain by the one walk
+(:func:`~repro.serve.compact.walk_chain`) that
+:func:`~repro.serve.compact.load_chain_tip` and
+:func:`~repro.serve.compact.compact_chain` use, after which every
+committed publish marker of its journal must pin an artifact of the
+chain.  ``repro verify`` is the CLI face: exit 0 with a summary line
+per artifact, or exit 2 with a one-line diagnosis.
 
 Every checker returns a small report dict on success and raises
 :class:`~repro.exceptions.SnapshotError` (or its
-:class:`~repro.exceptions.WALError` subclass) on the first problem —
-the same errors the serving paths would hit, surfaced before anything
-depends on the artifact.  A torn WAL tail *is* reported as an error
-here: it is recoverable damage (``IngestService.recover`` truncates
-it), but an audit's job is to say the file is damaged.
+:class:`~repro.exceptions.WALError` subclass) on the first problem.  A
+torn WAL tail *is* reported as an error here: it is recoverable damage
+(``IngestService.recover`` truncates it), but an audit's job is to say
+the file is damaged.
 """
 
 from __future__ import annotations
 
-import json
 import pathlib
 
 from repro.exceptions import SnapshotError, WALError
-from repro.serve.compact import BASE_NAME, chain_artifacts
-from repro.serve.snapshot import (
-    DELTA_FORMAT,
+from repro.serve.artifact import (
+    DELTA,
     MANIFEST_NAME,
-    SNAPSHOT_FORMAT,
-    DetectionSnapshot,
-    SnapshotDelta,
+    SNAPSHOT,
+    check_pin,
+    read_manifest,
 )
+from repro.serve.compact import BASE_NAME, walk_chain
+from repro.serve.snapshot import DetectionSnapshot, SnapshotDelta
 from repro.serve.wal import WAL_MAGIC, read_records
 
 __all__ = [
@@ -40,15 +45,10 @@ __all__ = [
     "verify_wal",
 ]
 
+WAL_NAME = "ingest.wal"
 
-def verify_snapshot(path) -> dict:
-    """Audit one snapshot directory; return its summary or raise.
 
-    A full :meth:`~repro.serve.snapshot.DetectionSnapshot.load` —
-    manifest envelope, every array's existence, size and SHA-256 —
-    without keeping the arrays (``mmap`` keeps residency trivial).
-    """
-    snapshot = DetectionSnapshot.load(path, mmap=True)
+def _snapshot_report(path, snapshot: DetectionSnapshot) -> dict:
     return {
         "kind": "snapshot",
         "path": str(path),
@@ -58,9 +58,7 @@ def verify_snapshot(path) -> dict:
     }
 
 
-def verify_delta(path) -> dict:
-    """Audit one delta directory; return its summary or raise."""
-    delta = SnapshotDelta.load(path, mmap=True)
+def _delta_report(path, delta: SnapshotDelta) -> dict:
     return {
         "kind": "delta",
         "path": str(path),
@@ -74,14 +72,25 @@ def verify_delta(path) -> dict:
     }
 
 
-def verify_wal(path, *, allow_torn_tail: bool = False) -> dict:
-    """Audit a write-ahead log; return its summary or raise.
+def verify_snapshot(path) -> dict:
+    """Audit one snapshot directory; return its summary or raise.
 
-    Checks the header magic and every record's framing and CRC-32.
-    Uncommitted tail bytes (a crash mid-append) raise unless
-    *allow_torn_tail* — an audit reports damage even when recovery
-    could truncate it.
+    The serving load path: :meth:`DetectionSnapshot.load` (``mmap``
+    keeps residency trivial) plus
+    :meth:`~DetectionSnapshot.restore_index`.
     """
+    snapshot = DetectionSnapshot.load(path, mmap=True)
+    snapshot.restore_index()
+    return _snapshot_report(path, snapshot)
+
+
+def verify_delta(path) -> dict:
+    """Audit one delta directory on its own; return its summary or raise."""
+    return _delta_report(path, SnapshotDelta.load(path, mmap=True))
+
+
+def _audit_wal(path, allow_torn_tail: bool):
+    """``(records, report)`` of a journal, refusing a torn tail."""
     records, committed, total = read_records(path)
     torn = total - committed
     if torn and not allow_torn_tail:
@@ -93,7 +102,7 @@ def verify_wal(path, *, allow_torn_tail: bool = False) -> dict:
     kinds: dict[str, int] = {}
     for record in records:
         kinds[record.kind] = kinds.get(record.kind, 0) + 1
-    return {
+    return records, {
         "kind": "wal",
         "path": str(path),
         "n_records": len(records),
@@ -103,68 +112,64 @@ def verify_wal(path, *, allow_torn_tail: bool = False) -> dict:
     }
 
 
+def verify_wal(path, *, allow_torn_tail: bool = False) -> dict:
+    """Audit a write-ahead log; return its summary or raise.
+
+    Checks the header magic and every record's framing, CRC-32 and
+    header types.  Uncommitted tail bytes (a crash mid-append) raise
+    unless *allow_torn_tail* — an audit reports damage even when
+    recovery could truncate it.
+    """
+    return _audit_wal(path, allow_torn_tail)[1]
+
+
 def verify_chain(path, *, allow_torn_tail: bool = False) -> dict:
     """Audit a whole chain directory: base, deltas, links, journal.
 
-    Beyond the per-artifact checks, verifies what only the chain as a
-    whole can promise: each delta's ``parent_sha256`` equals the
-    manifest SHA-256 of the artifact before it, sequence numbers are
-    gapless, and — when an ``ingest.wal`` journal rides along — every
-    committed publish marker pins an on-disk artifact with the exact
-    manifest SHA it recorded.
+    Walks the chain once through :func:`~repro.serve.compact.walk_chain`
+    (every load check, gapless sequence numbers, parent links checked
+    by each apply), restores the tip's LSH index as serving would, and
+    — when an ``ingest.wal`` journal rides along — pins every committed
+    publish marker to a chain artifact with the exact manifest SHA it
+    recorded.
     """
     path = pathlib.Path(path)
-    base_path, delta_paths = chain_artifacts(path)
-    base_report = verify_snapshot(base_path)
-    parent_sha = base_report["manifest_sha256"]
-    artifact_shas = {BASE_NAME: parent_sha}
-    delta_reports = []
-    for position, delta_path in enumerate(delta_paths):
-        report = verify_delta(delta_path)
-        if report["sequence"] != position:
-            raise SnapshotError(
-                f"{delta_path}: sequence {report['sequence']} at chain "
-                f"position {position}"
-            )
-        if report["parent_sha256"] != parent_sha:
-            raise SnapshotError(
-                f"{delta_path}: parent link broken — expects "
-                f"{report['parent_sha256'][:12]}..., previous artifact "
-                f"is {str(parent_sha)[:12]}..."
-            )
-        parent_sha = report["manifest_sha256"]
-        artifact_shas[delta_path.name] = parent_sha
-        delta_reports.append(report)
-    wal_report = None
-    wal_path = path / "ingest.wal"
-    if wal_path.is_file():
-        wal_report = verify_wal(
-            wal_path, allow_torn_tail=allow_torn_tail
+    reports = {}
+    for artifact_path, artifact, tip in walk_chain(path, mmap=True):
+        report = (
+            _snapshot_report
+            if isinstance(artifact, DetectionSnapshot)
+            else _delta_report
         )
-        records, _, _ = read_records(wal_path)
+        reports[artifact_path.name] = report(artifact_path, artifact)
+    tip.restore_index()
+    wal_report = None
+    wal_path = path / WAL_NAME
+    if wal_path.is_file():
+        records, wal_report = _audit_wal(wal_path, allow_torn_tail)
         for number, record in enumerate(records):
             if record.kind not in ("publish_base", "publish_delta"):
                 continue
             name = record.meta.get("name")
-            sha = record.meta.get("sha256")
-            if name not in artifact_shas:
+            if not isinstance(name, str) or name not in reports:
                 raise WALError(
                     f"{wal_path}: record {number} marks a publish of "
-                    f"{name!r} but the chain holds no such committed "
-                    f"artifact"
+                    f"{str(name)[:60]!r} but the chain holds no such "
+                    f"committed artifact"
                 )
-            if artifact_shas[name] != sha:
-                raise WALError(
-                    f"{wal_path}: record {number} pins {name!r} at "
-                    f"{str(sha)[:12]}... but the artifact hashes to "
-                    f"{artifact_shas[name][:12]}..."
-                )
+            check_pin(
+                path / name / MANIFEST_NAME,
+                record.meta.get("sha256"),
+                what=f"{wal_path}: record {number} for {name!r}",
+                error=WALError,
+            )
+    base_report = reports.pop(BASE_NAME)
     return {
         "kind": "chain",
         "path": str(path),
         "base": base_report,
-        "deltas": delta_reports,
-        "tip_sha256": parent_sha,
+        "deltas": list(reports.values()),
+        "tip_sha256": tip.manifest_sha256,
         "wal": wal_report,
     }
 
@@ -172,10 +177,11 @@ def verify_chain(path, *, allow_torn_tail: bool = False) -> dict:
 def verify_artifact(path, *, allow_torn_tail: bool = False) -> dict:
     """Audit *path*, whatever artifact kind it is.
 
-    Dispatches on shape: a file starting with the WAL magic is a
-    journal; a directory with a ``base/`` sub-snapshot is a chain; a
-    directory whose manifest declares the snapshot or delta format is
-    that.  Anything else raises with a one-line diagnosis.
+    A file starting with the WAL magic is a journal; a directory with a
+    ``base/`` sub-snapshot is a chain; otherwise the manifest's envelope
+    (:func:`~repro.serve.artifact.read_manifest`) says whether it is a
+    snapshot or a delta.  Anything else raises with a one-line
+    diagnosis.
     """
     path = pathlib.Path(path)
     if path.is_file():
@@ -194,22 +200,12 @@ def verify_artifact(path, *, allow_torn_tail: bool = False) -> dict:
         and not (path / MANIFEST_NAME).is_file()
     ):
         return verify_chain(path, allow_torn_tail=allow_torn_tail)
-    manifest_path = path / MANIFEST_NAME
-    if not manifest_path.is_file():
+    if not (path / MANIFEST_NAME).is_file():
         raise SnapshotError(
             f"{path} is not a known artifact: no {MANIFEST_NAME} and "
             f"no {BASE_NAME}/ chain anchor"
         )
-    try:
-        fmt = json.loads(manifest_path.read_text()).get("format")
-    except (OSError, json.JSONDecodeError) as exc:
-        raise SnapshotError(
-            f"{manifest_path} is not readable JSON: {exc}"
-        ) from exc
-    if fmt == SNAPSHOT_FORMAT:
-        return verify_snapshot(path)
-    if fmt == DELTA_FORMAT:
+    kind, _, _ = read_manifest(path, SNAPSHOT, DELTA)
+    if kind is DELTA:
         return verify_delta(path)
-    raise SnapshotError(
-        f"{path}: manifest declares unknown format {fmt!r}"
-    )
+    return verify_snapshot(path)

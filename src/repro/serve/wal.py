@@ -57,6 +57,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import os
 import pathlib
 import struct
@@ -65,6 +66,7 @@ import zlib
 import numpy as np
 
 from repro.exceptions import ValidationError, WALError
+from repro.serve.artifact import decode_guard, expect, fields, json_default
 
 __all__ = [
     "RECORD_KINDS",
@@ -88,20 +90,6 @@ _CRC = struct.Struct("<I")
 # the biggest legitimate payloads are ingest batches, and even the
 # slow soak profile ships well under a few MB per batch.
 _MAX_PAYLOAD = 1 << 30
-
-
-def _json_default(value):
-    """Coerce numpy scalars in record meta; reject anything else."""
-    if isinstance(value, np.integer):
-        return int(value)
-    if isinstance(value, np.floating):
-        return float(value)
-    if isinstance(value, np.bool_):
-        return bool(value)
-    raise TypeError(
-        f"WAL meta value {value!r} ({type(value).__name__}) is not "
-        f"JSON-serializable"
-    )
 
 
 @dataclasses.dataclass
@@ -146,9 +134,9 @@ def _encode(kind: str, meta: dict, arrays: dict[str, np.ndarray]) -> bytes:
     header = {"kind": kind, "meta": meta, "arrays": descriptors}
     try:
         header_bytes = json.dumps(
-            header, sort_keys=True, default=_json_default
+            header, sort_keys=True, default=json_default
         ).encode("utf-8")
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:
         raise ValidationError(
             f"WAL record meta cannot be journaled: {exc}"
         ) from exc
@@ -161,47 +149,62 @@ def _encode(kind: str, meta: dict, arrays: dict[str, np.ndarray]) -> bytes:
 
 
 def _decode(payload: bytes, *, context: str) -> WALRecord:
-    """Rebuild a record from a CRC-verified payload."""
+    """Rebuild a record from a CRC-verified payload, or raise WALError.
+
+    A CRC only proves the bytes are the ones written; the header is
+    still untrusted, so every field is type-checked and any other
+    decoding failure goes through the shared guard.
+    """
     sep = payload.find(b"\0")
     if sep < 0:
         raise WALError(f"{context}: record header is not NUL-terminated")
     try:
         header = json.loads(payload[:sep].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (RecursionError, ValueError) as exc:
         raise WALError(
             f"{context}: record header is not valid JSON: {exc}"
         ) from exc
-    kind = header.get("kind")
-    if kind not in RECORD_KINDS:
-        raise WALError(f"{context}: unknown record kind {kind!r}")
-    arrays: dict[str, np.ndarray] = {}
-    offset = sep + 1
-    for descriptor in header.get("arrays", []):
-        try:
-            dtype = np.dtype(descriptor["dtype"])
-            shape = tuple(int(s) for s in descriptor["shape"])
-            name = str(descriptor["name"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise WALError(
-                f"{context}: malformed array descriptor "
-                f"{descriptor!r}: {exc}"
-            ) from exc
-        n_bytes = dtype.itemsize * int(np.prod(shape, dtype=np.int64))
-        blob = payload[offset:offset + n_bytes]
-        if len(blob) != n_bytes:
-            raise WALError(
-                f"{context}: array {name!r} needs {n_bytes} payload "
-                f"bytes, {len(blob)} present"
+    with decode_guard(f"{context}: malformed record", WALError):
+        expect(header, dict, f"{context}: record header", WALError)
+        kind = header.get("kind")
+        if kind not in RECORD_KINDS:
+            raise WALError(f"{context}: unknown record kind {str(kind)[:40]!r}")
+        meta = header.get("meta")
+        if meta is not None:
+            expect(meta, dict, f"{context}: record meta", WALError)
+        arrays: dict[str, np.ndarray] = {}
+        offset = sep + 1
+        for descriptor in expect(header.get("arrays", []), list,
+                                 f"{context}: array list", WALError):
+            name, dtype, shape = fields(
+                descriptor, f"{context}: array descriptor", WALError,
+                name=str, dtype=str, shape=list,
             )
-        arrays[name] = np.frombuffer(blob, dtype=dtype).reshape(shape).copy()
-        offset += n_bytes
+            dtype = np.dtype(dtype)
+            shape = tuple(shape)
+            if dtype.hasobject or not all(
+                isinstance(n, int) and not isinstance(n, bool) and n >= 0
+                for n in shape
+            ):
+                raise WALError(
+                    f"{context}: array {name!r} descriptor {dtype} "
+                    f"{str(shape)[:40]} is not a plain numeric array"
+                )
+            n_bytes = dtype.itemsize * math.prod(shape)
+            blob = payload[offset:offset + n_bytes]
+            if len(blob) != n_bytes:
+                raise WALError(
+                    f"{context}: array {name!r} needs {n_bytes} payload "
+                    f"bytes, {len(blob)} present"
+                )
+            arrays[name] = np.frombuffer(blob, dtype=dtype).reshape(shape).copy()
+            offset += n_bytes
     if offset != len(payload):
         raise WALError(
             f"{context}: {len(payload) - offset} trailing payload "
             f"byte(s) no array descriptor claims"
         )
-    return WALRecord(kind=kind, meta=dict(header.get("meta") or {}),
-                     arrays=arrays)
+    return WALRecord(kind=kind, meta=dict(meta or {}), arrays=arrays)
 
 
 def read_records(path) -> tuple[list[WALRecord], int, int]:

@@ -129,7 +129,7 @@ class FaultInjector:
 def crash_snapshot_writes(injector: FaultInjector):
     """Arm *injector* over snapshot/delta array writes.
 
-    While active, every ``repro.serve.snapshot._write_array`` call
+    While active, every ``repro.serve.artifact._write_array`` call
     (snapshot saves, delta saves, shard plan writes — they all share
     it) bumps ``injector.array_writes`` and dies with
     :class:`InjectedFault` when the count reaches
@@ -138,9 +138,9 @@ def crash_snapshot_writes(injector: FaultInjector):
     renames would.  The patch is removed on exit no matter how the
     block ends.
     """
-    from repro.serve import snapshot as snapshot_module
+    from repro.serve import artifact as artifact_module
 
-    original = snapshot_module._write_array
+    original = artifact_module._write_array
 
     def _instrumented(array_dir, name, array):
         index = injector.array_writes
@@ -151,8 +151,8 @@ def crash_snapshot_writes(injector: FaultInjector):
             )
         return original(array_dir, name, array)
 
-    snapshot_module._write_array = _instrumented
+    artifact_module._write_array = _instrumented
     try:
         yield injector
     finally:
-        snapshot_module._write_array = original
+        artifact_module._write_array = original

@@ -23,6 +23,7 @@ fires on explicit operation counts, and all services run
 
 import json
 import shutil
+import zlib
 
 import numpy as np
 import pytest
@@ -236,6 +237,37 @@ class TestWALFile:
         records, committed, total = read_records(path)
         assert [r.kind for r in records] == ["begin"]
         assert committed < total
+
+    @pytest.mark.parametrize(
+        "header, blob",
+        [
+            ([1, 2], b""),
+            ({"kind": "begin", "meta": [1, 2], "arrays": []}, b""),
+            (
+                {
+                    "kind": "ingest",
+                    "meta": {},
+                    "arrays": [{"name": "points", "dtype": "O", "shape": [1]}],
+                },
+                bytes(8),
+            ),
+        ],
+        ids=["list-header", "list-meta", "object-dtype"],
+    )
+    def test_crc_valid_malformed_frame_is_typed(self, tmp_path, header, blob):
+        """A frame can pass its CRC and still carry a wrong header."""
+        path = tmp_path / "j.wal"
+        with WriteAheadLog(path) as wal:
+            wal.append("begin")
+        payload = json.dumps(header).encode() + b"\0" + blob
+        with open(path, "ab") as handle:
+            handle.write(
+                _LEN.pack(len(payload))
+                + payload
+                + _LEN.pack(zlib.crc32(payload) & 0xFFFFFFFF)
+            )
+        with pytest.raises(WALError, match="record 1"):
+            read_records(path)
 
     def test_append_to_closed_journal(self, tmp_path):
         wal = WriteAheadLog(tmp_path / "j.wal")
@@ -816,9 +848,11 @@ class TestCompaction:
         assert np.array_equal(sharded_got.labels, want.labels)
         assert np.array_equal(sharded_got.scores, want.scores)
 
-    def test_refuses_to_eat_its_own_base(self, chain):
+    @pytest.mark.parametrize("target", ["base", "delta_0000"])
+    def test_refuses_to_eat_its_own_base(self, chain, target):
         with pytest.raises(SnapshotError, match="own base"):
-            compact_chain(chain, chain / "base")
+            compact_chain(chain, chain / target)
+        assert verify_chain(chain)["kind"] == "chain"
 
 
 # ---------------------------------------------------------------------------

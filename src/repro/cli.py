@@ -46,9 +46,10 @@ Commands
     byte-identical assignments to the chain tip.
 ``verify``
     Audit artifacts offline (:mod:`repro.serve.verify`): snapshot and
-    delta checksums, delta parent-SHA links, WAL record CRCs, and
-    journal/chain publish-marker agreement — exit 0 with a summary
-    line per artifact, or exit 2 with a one-line diagnosis.
+    delta checksums, delta parent-SHA links, shard-plan pins, WAL
+    record CRCs, and journal/chain publish-marker agreement — exit 0
+    with a summary line per artifact, or exit 2 with a one-line
+    diagnosis.
 ``stats``
     Serve a query batch against a snapshot with a shared
     :class:`~repro.obs.metrics.MetricsRegistry` wired through the
@@ -365,11 +366,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     verify = sub.add_parser(
         "verify",
-        help="audit snapshot/delta/chain/WAL artifacts offline",
+        help="audit snapshot/delta/chain/plan/WAL artifacts offline",
     )
     verify.add_argument("paths", nargs="+",
-                        help="artifact path(s): snapshot or delta "
-                             "directories, chain directories, or "
+                        help="artifact path(s): snapshot, delta, "
+                             "chain or shard-plan directories, or "
                              ".wal journal files")
     verify.add_argument("--allow-torn-tail", action="store_true",
                         help="report a journal's torn tail instead of "
@@ -1066,6 +1067,12 @@ def _cmd_verify(args) -> int:
                 f"{path}: snapshot ok — {report['n_items']} items, "
                 f"{report['n_clusters']} cluster(s), manifest "
                 f"{report['manifest_sha256'][:12]}..."
+            )
+        elif kind == "plan":
+            parent = report["parent_sha256"]
+            print(
+                f"{path}: plan ok — {len(report['shards'])} shard(s), "
+                f"parent {parent[:12] + '...' if parent else 'in memory'}"
             )
         elif kind == "delta":
             print(

@@ -206,7 +206,8 @@ def unpack_clusters(arrays, *, n_items: int | None = None) -> list[Cluster]:
     ------
     ValidationError
         If the offsets are inconsistent with the flat arrays
-        (non-monotonic, wrong total) or members are out of range.
+        (non-monotonic, wrong total), members are out of range, or a
+        weight or density is not finite.
     """
     offsets = np.asarray(arrays["offsets"], dtype=np.int64)
     members = np.asarray(arrays["members"])
@@ -241,6 +242,8 @@ def unpack_clusters(arrays, *, n_items: int | None = None) -> list[Cluster]:
             f"cluster member/weight arrays ({members.size}/{weights.size}) "
             f"disagree with offsets (total {int(offsets[-1])})"
         )
+    if not (np.isfinite(weights).all() and np.isfinite(densities).all()):
+        raise ValidationError("cluster weights and densities must be finite")
     clusters = []
     for i in range(n_clusters):
         lo, hi = int(offsets[i]), int(offsets[i + 1])

@@ -62,34 +62,6 @@ class PStableHashFamily:
         """
         return self._projections.copy(), self._offsets.copy()
 
-    @classmethod
-    def from_arrays(
-        cls, *, r: float, projections: np.ndarray, offsets: np.ndarray
-    ) -> "PStableHashFamily":
-        """Rebuild a family from :meth:`export_arrays` output.
-
-        No randomness is consumed: the restored family hashes every
-        point exactly as the exporting one did.
-        """
-        projections = np.ascontiguousarray(projections, dtype=np.float64)
-        offsets = np.ascontiguousarray(offsets, dtype=np.float64)
-        if projections.ndim != 2:
-            raise ValidationError(
-                f"projections must be 2-D, got ndim={projections.ndim}"
-            )
-        if offsets.shape != (projections.shape[0],):
-            raise ValidationError(
-                f"offsets shape {offsets.shape} does not match "
-                f"{projections.shape[0]} projections"
-            )
-        family = cls.__new__(cls)
-        family.dim = int(projections.shape[1])
-        family.r = check_positive(r, name="r")
-        family.n_projections = int(projections.shape[0])
-        family._projections = projections
-        family._offsets = offsets
-        return family
-
     def project(self, data: np.ndarray) -> np.ndarray:
         """Raw segment coordinates ``(a . v + b) / r`` for every row.
 

@@ -13,28 +13,40 @@ Implementation notes
   Key collisions of genuinely different hash vectors are ~2^-64 events
   and at worst add a spurious candidate that the exact distance filter
   removes — the classic fingerprinting trade.
-* Each table stores its inverted list in CSR form: a sorted array of
-  unique bucket keys, an offsets array, and one flat member array
-  grouped by bucket.  Lookups are ``searchsorted`` binary searches and
-  multi-bucket queries gather all member ranges with a single
-  repeat/cumsum fancy-index — no Python dict traffic on the hot path.
+* One hash path: every table's projections, offsets and key mixers are
+  stacked, and :meth:`LSHIndex._block_keys` hashes a block against all
+  tables at once, a few column-blocked products per 64-row chunk.  The
+  build, :meth:`LSHIndex.insert`, :meth:`LSHIndex.check_hashable` and
+  every foreign-point query call it, so each refuses the same rows (those
+  projecting outside the int64 range of hash codes) and an item and its
+  twin query always get the same key.
+* One CSR for all tables: each table's buckets are the sorted distinct
+  keys of its row of the ``(l, n)`` item keys, numbered table-major; one
+  flat member array holds every bucket's members in ascending index
+  order, with per-bucket (start, length) ranges and an ``(l, n)`` map
+  from item to its bucket in every table.  A stable sort per table row
+  lays it out (:meth:`LSHIndex._build_csr`) for the build,
+  :meth:`LSHIndex.from_state` and :meth:`LSHIndex.insert`.  Lookups are
+  ``searchsorted`` binary searches, and multi-bucket queries gather all
+  member ranges with a single repeat/cumsum fancy-index — no Python
+  dict traffic on the hot path.
+* Insert is a merge: each table's old members are passed in key order,
+  followed by the batch, and NumPy's stable sort (timsort) merges that
+  sorted run with the batch in O(n + m log m) per table.
 * Batched queries (:meth:`LSHIndex.query_items`) deduplicate the
   candidate union with one :func:`sorted_unique` over the concatenated
-  per-table gathers, which is what makes CIVS's multi-query pattern
-  (one query per supporting item, paper Fig. 4(b)) cheap: the dedup
-  costs O(k log k) in the k items gathered, never O(n).
-* Foreign points (serve-time queries) are hashed against every table
-  at once: the tables' projections are stacked into one matrix, so
-  :meth:`LSHIndex.point_bucket_hits` costs a few column-blocked products
-  per 64-row chunk, one key mix for all tables and one binary search
-  per table.  :meth:`LSHIndex.bucket_owners` maps fused buckets to the
-  owners of their members, which is all the serving shortlist needs
-  from a hit.
+  gathers, which is what makes CIVS's multi-query pattern (one query
+  per supporting item, paper Fig. 4(b)) cheap: the dedup costs
+  O(k log k) in the k items gathered, never O(n).
+* Foreign points (serve-time queries) cost one hash pass and one binary
+  search per table (:meth:`LSHIndex.point_bucket_hits`).
+  :meth:`LSHIndex.bucket_owners` maps buckets to the owners of their
+  members, which is all the serving shortlist needs from a hit.
 * Peeling (paper §4.4) uses an *active mask*: peeled items stay in the
   tables but are filtered out of every query — O(1) per peel, no rebuild.
 * The collision *structure* is read directly:
   :meth:`LSHIndex.active_bucket_populations` (one ``reduceat`` over the
-  fused CSR), :meth:`LSHIndex.has_active_collision` (the peeling loop's
+  CSR), :meth:`LSHIndex.has_active_collision` (the peeling loop's
   per-seed noise pre-filter, reading only the seed's ``l`` buckets),
   :meth:`LSHIndex.colliding_mask` (the same test for every item at
   once), :meth:`LSHIndex.collision_components` (the ingest tier's
@@ -59,8 +71,9 @@ from repro.utils.validation import (
 
 __all__ = ["HASH_CHUNK_ROWS", "LSHIndex", "csr_gather", "sorted_unique"]
 
-#: Rows hashed per chunk by :meth:`LSHIndex.point_bucket_hits`; bounds
-#: the ``(rows, n_tables * n_projections)`` coordinate temporaries.
+#: Rows hashed per chunk by :meth:`LSHIndex._block_keys` (the build,
+#: inserts and queries); bounds the ``(rows, n_tables * n_projections)``
+#: coordinate temporaries.
 HASH_CHUNK_ROWS = 64
 # Hash codes are int64: a floored segment coordinate must lie in
 # [-2**63, 2**63) to be cast without undefined behaviour.
@@ -108,106 +121,6 @@ def sorted_unique(keys: np.ndarray) -> np.ndarray:
     return keys[keep]
 
 
-class _Table:
-    """One hash table as a CSR inverted list over 64-bit bucket keys."""
-
-    __slots__ = (
-        "family",
-        "mixer",
-        "item_keys",
-        "unique_keys",
-        "offsets",
-        "members",
-    )
-
-    def __init__(
-        self,
-        family: PStableHashFamily,
-        mixer: np.ndarray,
-        item_keys: np.ndarray,
-    ):
-        self.family = family
-        self.mixer = mixer
-        self.item_keys = item_keys.astype(np.uint64, copy=False)
-        self._rebuild()
-
-    def _rebuild(self) -> None:
-        """(Re)build the CSR bucket structure from ``item_keys``.
-
-        A stable argsort keeps equal-key items in ascending index order,
-        so every bucket's member list comes out sorted for free.
-        """
-        keys = self.item_keys
-        n = keys.size
-        order = np.argsort(keys, kind="stable").astype(np.intp)
-        sorted_keys = keys[order]
-        if n == 0:
-            self.unique_keys = np.empty(0, dtype=np.uint64)
-            self.offsets = np.zeros(1, dtype=np.intp)
-            self.members = order
-            return
-        boundaries = np.flatnonzero(
-            np.concatenate([[True], sorted_keys[1:] != sorted_keys[:-1]])
-        ).astype(np.intp)
-        self.unique_keys = sorted_keys[boundaries]
-        self.offsets = np.concatenate([boundaries, [n]]).astype(np.intp)
-        self.members = order
-
-    def merge_insert(self, new_keys: np.ndarray) -> None:
-        """Merge a batch of appended items into the CSR without a re-sort.
-
-        The existing member array is already key-sorted, and the batch
-        only needs an O(m log m) sort of its own; a two-way merge (two
-        ``searchsorted`` passes + one scatter) then produces the same
-        member order a full stable re-sort would — old items keep their
-        ascending-index order inside each bucket, and new items (whose
-        global indices are larger) follow them.  O(n + m log m) per
-        batch instead of the historical O(n log n) full re-sort.
-        """
-        new_keys = np.asarray(new_keys).astype(np.uint64, copy=False)
-        old_n = self.item_keys.size
-        m = new_keys.size
-        if m == 0:
-            return
-        order_new = np.argsort(new_keys, kind="stable").astype(np.intp)
-        sorted_new = new_keys[order_new]
-        new_members = order_new + old_n
-        old_sorted = self.item_keys[self.members]
-        # Merged positions: each old item is shifted right by the number
-        # of strictly-smaller new keys; each new item by the number of
-        # old keys that are smaller *or equal* (ties put old first).
-        shift_old = np.searchsorted(sorted_new, old_sorted, side="left")
-        shift_new = np.searchsorted(old_sorted, sorted_new, side="right")
-        merged = np.empty(old_n + m, dtype=np.intp)
-        merged[np.arange(old_n, dtype=np.intp) + shift_old] = self.members
-        merged[np.arange(m, dtype=np.intp) + shift_new] = new_members
-        self.item_keys = np.concatenate([self.item_keys, new_keys])
-        merged_keys = self.item_keys[merged]
-        boundaries = np.flatnonzero(
-            np.concatenate([[True], merged_keys[1:] != merged_keys[:-1]])
-        ).astype(np.intp)
-        self.unique_keys = merged_keys[boundaries]
-        self.offsets = np.concatenate([boundaries, [old_n + m]]).astype(
-            np.intp
-        )
-        self.members = merged
-
-    # ------------------------------------------------------------------
-    def keys_of_points(self, points: np.ndarray) -> np.ndarray:
-        """Bucket keys of arbitrary points under this table's hash alone.
-
-        The index build's path; :meth:`LSHIndex.point_bucket_hits` and
-        :meth:`LSHIndex.insert` hash every table at once and must agree
-        with it bit for bit.  Cast to uint64 *before* mixing: int64 *
-        uint64 promotes to float64, which cannot represent the
-        wraparound keys the index was built with (negative codes would
-        hash to the wrong bucket).
-        """
-        codes = self.family.hash_many(points).astype(np.uint64)
-        with np.errstate(over="ignore"):
-            return (codes * self.mixer[None, :]).sum(axis=1, dtype=np.uint64)
-
-
 class LSHIndex:
     """p-stable LSH index over a fixed data matrix.
 
@@ -251,7 +164,7 @@ class LSHIndex:
         # Fixed seed: the mixer only fingerprints hash vectors, it carries
         # no locality information, so it need not vary with `seed`.
         mixer_rng = as_generator(np.random.SeedSequence(0xA11D))
-        mixers = np.stack(
+        self._mixers = np.stack(
             [
                 mixer_rng.integers(
                     1, 2**63 - 1, size=self.n_projections, dtype=np.uint64
@@ -260,98 +173,55 @@ class LSHIndex:
                 for _ in range(self.n_tables)
             ]
         )
-        families = self._stack_hash_state(
-            np.concatenate([p for p, _ in hash_state]),
-            np.concatenate([o for _, o in hash_state]),
-            mixers,
-        )
-        # Each table hashes the data itself, without the int64 range
-        # check of point_bucket_hits: a journaled ingest stream builds
-        # its index here from a batch it has already recorded, and
-        # refusing that batch now would fail every later replay.
-        self._tables: list[_Table] = []
-        for family, mixer in zip(families, self._mixers):
-            table = _Table(family, mixer, np.empty(0, dtype=np.uint64))
-            table.merge_insert(table.keys_of_points(self._data))
-            self._tables.append(table)
+        self._projections = np.concatenate([p for p, _ in hash_state])
+        self._hash_offsets = np.concatenate([o for _, o in hash_state])
         self._active = np.ones(n, dtype=bool)
-        self._rebuild_combined()
+        # The checked hash path: a row projecting outside the int64 range
+        # of hash codes refuses the build, as it refuses insert and query.
+        self._item_keys = self._block_keys(self._data)[:, :, 0]
+        self._build_csr(self._item_keys)
 
-    def _stack_hash_state(
-        self, projections: np.ndarray, offsets: np.ndarray, mixers: np.ndarray
-    ) -> list[PStableHashFamily]:
-        """Hold every table's hash state in three stacked arrays.
+    def _build_csr(self, keys: np.ndarray, ids: np.ndarray | None = None) -> None:
+        """Lay out the index's one CSR from per-table rows of bucket keys.
 
-        *projections* is ``(l * mu, d)``, *offsets* ``(l * mu,)`` and
-        *mixers* ``(l, mu)``.  Returns one hash family per table built
-        on views into the stacks, so nothing is stored twice, while
-        :meth:`point_bucket_hits` hashes a block against every table
-        at once.
+        Row ``t`` of *keys* ``(l, n)`` holds table ``t``'s key of the
+        item in the same column of *ids* (item ``j`` at column ``j`` when
+        *ids* is None).  One stable sort per row groups it by key, ties
+        in column order, and each run of equal keys becomes a bucket:
+        numbered table-major, keys ascending within a table, members
+        contiguous in the flat ``(l * n,)`` member array.  The build and
+        :meth:`from_state` pass item order; :meth:`insert` passes each
+        table's old members in key order followed by the batch, so every
+        bucket's members stay ascending.
         """
-        self._projections = projections
-        self._hash_offsets = offsets
-        self._mixers = mixers
-        mu = self.n_projections
-        return [
-            PStableHashFamily.from_arrays(
-                r=self.r,
-                projections=projections[t * mu : (t + 1) * mu],
-                offsets=offsets[t * mu : (t + 1) * mu],
-            )
-            for t in range(self.n_tables)
-        ]
-
-    def _rebuild_combined(self) -> None:
-        """Fuse every table's inverted list into one index-level CSR.
-
-        This is the paper's O(n*l) inverted list made literal: one flat
-        member array over all tables, per-bucket (start, length) ranges,
-        and an ``(l, n)`` map from item to its bucket id in every table.
-        Item queries then touch no per-table Python at all — a batched
-        query is one fancy-index over the map, one
-        :func:`sorted_unique`, and one multi-range gather, regardless of
-        ``n_tables``.
-
-        The item -> bucket map needs no key search: each table's stable
-        sort already laid its members out bucket by bucket, so sorted
-        position ``p`` belongs to bucket ``repeat(buckets, lengths)[p]``
-        and one scatter through ``members`` files every item.
-        """
-        members_parts = []
-        starts_parts = []
-        lengths_parts = []
-        self._item_buckets = np.empty(
-            (self.n_tables, self._tables[0].item_keys.size), dtype=np.intp
+        l, n = keys.shape
+        members = np.empty((l, n), dtype=np.intp)
+        item_buckets = np.empty((l, n), dtype=np.intp)
+        new_bucket = np.ones(n, dtype=bool)
+        key_parts = []
+        start_parts = []
+        n_buckets = 0
+        for t in range(l):
+            order = np.argsort(keys[t], kind="stable")
+            row = keys[t][order]
+            np.not_equal(row[1:], row[:-1], out=new_bucket[1:])
+            starts = np.flatnonzero(new_bucket)
+            key_parts.append(row[starts])
+            start_parts.append(starts + t * n)
+            members[t] = order if ids is None else ids[t][order]
+            bucket_of = np.cumsum(new_bucket)
+            bucket_of += n_buckets - 1
+            item_buckets[t, members[t]] = bucket_of
+            n_buckets += starts.size
+        self._g_keys = np.concatenate(key_parts)
+        bounds = np.concatenate([*start_parts, [l * n]])
+        self._g_starts = bounds[:-1]
+        self._g_lengths = np.diff(bounds)
+        self._g_members = members.reshape(l * n)
+        self._item_buckets = item_buckets
+        self._table_bucket_base = np.cumsum(
+            [0] + [part.size for part in key_parts], dtype=np.intp
         )
-        bucket_base = 0
-        member_base = 0
-        for t, table in enumerate(self._tables):
-            lengths = np.diff(table.offsets)
-            starts_parts.append(table.offsets[:-1] + member_base)
-            lengths_parts.append(lengths)
-            members_parts.append(table.members)
-            self._item_buckets[t, table.members] = np.repeat(
-                np.arange(bucket_base, bucket_base + lengths.size, dtype=np.intp),
-                lengths,
-            )
-            bucket_base += lengths.size
-            member_base += table.members.size
-        self._g_members = np.concatenate(members_parts)
-        self._g_starts = np.concatenate(starts_parts).astype(np.intp)
-        self._g_lengths = np.concatenate(lengths_parts).astype(np.intp)
-        # Bucket keys of every table, fused the same way, so point
-        # lookups check hits in one gather.
-        self._g_keys = np.concatenate([t.unique_keys for t in self._tables])
-        # First global bucket id of each table (for per-table lookups).
-        self._table_bucket_base = np.concatenate(
-            [[0], np.cumsum([t.unique_keys.size for t in self._tables])]
-        ).astype(np.intp)
-        # Tables keep views into the fused arrays: nothing stored twice.
-        n = self._item_buckets.shape[1]
-        for t, table in enumerate(self._tables):
-            lo, hi = self._table_bucket_base[t : t + 2]
-            table.unique_keys = self._g_keys[lo:hi]
-            table.members = self._g_members[t * n : (t + 1) * n]
 
     # ------------------------------------------------------------------
     # basic properties
@@ -379,20 +249,21 @@ class LSHIndex:
     def insert(self, new_data: np.ndarray) -> np.ndarray:
         """Append new items to the index and return their global indices.
 
-        The hash families are fixed at construction, so inserted items
-        land in exactly the buckets a from-scratch rebuild would put
-        them in; queries before/after insertion are consistent.  New
-        items start active.  The batch is hashed like a query block
-        (:meth:`point_bucket_hits`), so a row whose segment coordinates
-        leave the int64 range of hash codes refuses the whole batch
-        with :class:`ValidationError` and nothing is inserted.
+        The hash state is fixed at construction, so inserted items
+        land in exactly the buckets a from-scratch build would put them
+        in; queries before/after insertion are consistent.  New items
+        start active.  The batch is hashed like a query block, so a row
+        whose segment coordinates leave the int64 range of hash codes
+        refuses the whole batch with :class:`ValidationError` and
+        nothing is inserted.
 
-        Cost note: each table absorbs the batch through a merge-based
-        CSR update (:meth:`_Table.merge_insert`) — O(n + m log m) per
-        table for a batch of m, not the historical O(n log n) full
-        re-sort.  The fused item->bucket map still shifts globally
-        whenever a new bucket appears, so refreshing it stays O(l * n);
-        batch arrivals rather than inserting point-by-point.
+        Cost note: each table's old members are handed to
+        :meth:`_build_csr` already in key order, followed by the batch,
+        so the stable sort merges one sorted run with the batch —
+        O(n + m log m) per table for a batch of m, not an O(n log n)
+        re-sort.  The item->bucket map still shifts globally whenever a
+        new bucket appears, so refreshing it stays O(l * n); batch
+        arrivals rather than inserting point-by-point.
         """
         new_data = check_data_matrix(new_data, name="new_data")
         if new_data.shape[1] != self._data.shape[1]:
@@ -402,16 +273,26 @@ class LSHIndex:
             )
         # Hashed before any state changes: an unhashable row refuses the
         # whole batch and leaves the index untouched.
-        keys = self._block_keys(new_data)
-        start = self._data.shape[0]
-        new_indices = np.arange(start, start + new_data.shape[0], dtype=np.intp)
-        self._data = np.vstack([self._data, new_data])
-        for t, table in enumerate(self._tables):
-            table.merge_insert(keys[t, :, 0])
-        self._active = np.concatenate(
-            [self._active, np.ones(new_data.shape[0], dtype=bool)]
+        keys = self._block_keys(new_data)[:, :, 0]
+        l, n = self._item_keys.shape
+        m = new_data.shape[0]
+        new_indices = np.arange(n, n + m, dtype=np.intp)
+        self._build_csr(
+            np.concatenate(
+                [np.repeat(self._g_keys, self._g_lengths).reshape(l, n), keys],
+                axis=1,
+            ),
+            np.concatenate(
+                [
+                    self._g_members.reshape(l, n),
+                    np.broadcast_to(new_indices, (l, m)),
+                ],
+                axis=1,
+            ),
         )
-        self._rebuild_combined()
+        self._item_keys = np.concatenate([self._item_keys, keys], axis=1)
+        self._data = np.vstack([self._data, new_data])
+        self._active = np.concatenate([self._active, np.ones(m, dtype=bool)])
         return new_indices
 
     # ------------------------------------------------------------------
@@ -604,7 +485,8 @@ class LSHIndex:
         The block is hashed against all tables at once over the stacked
         projections, in chunks of at most :data:`HASH_CHUNK_ROWS` rows,
         then each table looks the whole block up with one binary
-        search.  Keys equal :meth:`_Table.keys_of_points` bit for bit.
+        search.  Keys are those the build and :meth:`insert` filed the
+        items under (the one hash path, :meth:`_block_keys`).
 
         Parameters
         ----------
@@ -638,12 +520,14 @@ class LSHIndex:
         keys = self._block_keys(points, probe)
         l, q, k = keys.shape
         keys = keys.reshape(l, q * k)
+        bucket_base = self._table_bucket_base
+        bounds = bucket_base.tolist()
         pos = np.empty(keys.shape, dtype=np.intp)
-        for t, table in enumerate(self._tables):
-            pos[t] = table.unique_keys.searchsorted(keys[t])
+        for t in range(l):
+            table_keys = self._g_keys[bounds[t] : bounds[t + 1]]
+            pos[t] = table_keys.searchsorted(keys[t])
         # A key above a table's largest bucket key lands one past its
         # end; clamped to the last bucket it simply fails the match.
-        bucket_base = self._table_bucket_base
         np.minimum(pos, np.diff(bucket_base)[:, None] - 1, out=pos)
         pos += bucket_base[:-1, None]
         hit = self._g_keys[pos] == keys
@@ -669,53 +553,71 @@ class LSHIndex:
         return points
 
     def _block_keys(self, points: np.ndarray, probe=None) -> np.ndarray:
-        """``(l, q, k)`` bucket keys of a validated block, hashed in chunks."""
-        chunks = [
-            self._chunk_keys(points[lo : lo + HASH_CHUNK_ROWS], probe)
-            for lo in range(0, points.shape[0], HASH_CHUNK_ROWS)
-        ]
-        if not chunks:
-            return np.empty((self.n_tables, 0, 1), dtype=np.uint64)
-        return np.concatenate(chunks).transpose(1, 0, 2)
+        """``(l, q, k)`` bucket keys of a validated ``(q, d)`` block.
 
-    def _chunk_keys(self, chunk: np.ndarray, probe) -> np.ndarray:
-        """``(c, l, k)`` keys of a validated chunk (see point_bucket_hits)."""
-        c, dim = chunk.shape
-        # PStableHashFamily.project for every table at once, in place,
-        # in column blocks small enough to run on the calling thread.
-        coords = np.empty((c, self._projections.shape[0]))
-        step = max(1, _SERIAL_GEMM_MACS // (c * dim))
-        for lo in range(0, coords.shape[1], step):
-            np.matmul(
-                chunk,
-                self._projections[lo : lo + step].T,
-                out=coords[:, lo : lo + step],
-            )
-        coords += self._hash_offsets
-        coords /= self.r
-        # floor(x) fits int64 exactly when x lies in [-2**63, 2**63).
-        # NaN fails both comparisons; casting an out-of-range float is
-        # undefined, so such a point is rejected, not hashed.
-        if not (coords.min() >= -_INT64_SPAN and coords.max() < _INT64_SPAN):
-            raise ValidationError(
-                "points project outside the int64 range of hash codes "
-                "(coordinates too large to hash)"
-            )
-        codes = np.floor(coords, out=coords if probe is None else None)
-        # int64 -> uint64 reinterpretation is the wraparound cast
-        # keys_of_points makes; the uint64 sum of products wraps too.
-        ints = codes.astype(np.int64).view(np.uint64)
-        ints = ints.reshape(c, self.n_tables, self.n_projections)
-        keys = np.einsum("ctm,tm->ct", ints, self._mixers)
-        if probe is None:
-            return keys[:, :, None]
-        m = c * self.n_tables
-        fractions = (coords - codes).reshape(m, self.n_projections)
-        mixers = np.broadcast_to(self._mixers, (c,) + self._mixers.shape)
-        probed = probe(
-            fractions, keys.reshape(m), mixers.reshape(m, self.n_projections)
-        )
-        return probed.reshape(c, self.n_tables, -1)
+        The index's one hash path, for the build, :meth:`insert`,
+        :meth:`check_hashable` and every query.  Rows are hashed against
+        all tables at once over the stacked projections, at most
+        :data:`HASH_CHUNK_ROWS` at a time, in column blocks small enough
+        to run on the calling thread.  Table ``t``'s key of a row is
+        ``sum_j floor((a_j . v + b_j) / r) * mixer_j`` over its ``mu``
+        functions, in uint64 with wraparound.  Without *probe*, ``k`` is
+        1; with it, the hook's keys (see :meth:`point_bucket_hits`).
+
+        Raises
+        ------
+        ValidationError
+            For a row whose segment coordinates leave the int64 range of
+            hash codes.
+        """
+        l, mu = self._mixers.shape
+        dim = points.shape[1]
+        parts = []
+        for lo in range(0, points.shape[0], HASH_CHUNK_ROWS):
+            chunk = points[lo : lo + HASH_CHUNK_ROWS]
+            c = chunk.shape[0]
+            coords = np.empty((c, l * mu))
+            step = max(1, _SERIAL_GEMM_MACS // (c * dim))
+            for col in range(0, l * mu, step):
+                np.matmul(
+                    chunk,
+                    self._projections[col : col + step].T,
+                    out=coords[:, col : col + step],
+                )
+            coords += self._hash_offsets
+            coords /= self.r
+            # floor(x) fits int64 exactly when x lies in [-2**63, 2**63).
+            # NaN fails both comparisons; casting an out-of-range float is
+            # undefined, so such a row is rejected, not hashed.
+            if not (
+                coords.min() >= -_INT64_SPAN and coords.max() < _INT64_SPAN
+            ):
+                raise ValidationError(
+                    "points project outside the int64 range of hash codes "
+                    "(coordinates too large to hash)"
+                )
+            codes = np.floor(coords, out=coords if probe is None else None)
+            # Cast to uint64 *before* mixing (int64 * uint64 promotes to
+            # float64): the reinterpretation and the sum of products wrap.
+            ints = codes.astype(np.int64).view(np.uint64).reshape(c, l, mu)
+            # C order: each table's keys stay contiguous for its lookups.
+            keys = np.einsum("ctm,tm->tc", ints, self._mixers, order="C")
+            keys = keys[:, :, None]
+            if probe is not None:
+                fractions = (coords - codes).reshape(c * l, mu)
+                mixers = np.broadcast_to(self._mixers, (c, l, mu))
+                keys = probe(
+                    fractions,
+                    keys.transpose(1, 0, 2).reshape(c * l),
+                    mixers.reshape(c * l, mu),
+                )
+                keys = np.ascontiguousarray(
+                    keys.reshape(c, l, -1).transpose(1, 0, 2)
+                )
+            parts.append(keys)
+        if not parts:
+            return np.empty((l, 0, 1), dtype=np.uint64)
+        return np.concatenate(parts, axis=1)
 
     def query_points_grouped(
         self, points: np.ndarray, *, probe=None
@@ -817,7 +719,7 @@ class LSHIndex:
             "projections": self._projections.reshape(l, mu, -1).copy(),
             "hash_offsets": self._hash_offsets.reshape(l, mu).copy(),
             "mixers": self._mixers.copy(),
-            "item_keys": np.stack([t.item_keys for t in self._tables]),
+            "item_keys": self._item_keys.copy(),
             "active": self._active.copy(),
         }
 
@@ -838,9 +740,7 @@ class LSHIndex:
             raise ValidationError(
                 f"start must be in [0, {self.n}], got {start}"
             )
-        return np.stack(
-            [t.item_keys[start:].copy() for t in self._tables]
-        )
+        return self._item_keys[:, start:].copy()
 
     @classmethod
     def from_state(
@@ -857,14 +757,24 @@ class LSHIndex:
         """Rebuild an index from :meth:`export_state` arrays, re-hashing nothing.
 
         The restored index hashes queries and serves lookups
-        bit-identically to the exporting one: hash families are restored
-        from their stored random state, per-item bucket keys are taken
-        verbatim, and the CSR structure is rebuilt with the same stable
-        sort construction uses.  *data* may be a read-only memory map —
-        it is validated but never copied, which is what lets a multi-GB
+        bit-identically to the exporting one: the hash state is restored
+        from its stored random state, per-item bucket keys are taken
+        verbatim, and the CSR is laid out by the same :meth:`_build_csr`
+        the build uses.  *data* may be a read-only memory map — it is
+        validated but never copied, which is what lets a multi-GB
         snapshot serve without materialising the matrix.
+
+        Raises
+        ------
+        ValidationError
+            For shapes that disagree with *data* or each other, a
+            non-finite *data*, projection or offset, or an *r* that is
+            not positive and finite.
         """
         data = check_data_matrix(data, name="data")
+        r = float(r)
+        if not 0.0 < r < np.inf:
+            raise ValidationError(f"r must be positive and finite, got {r}")
         projections = np.asarray(projections, dtype=np.float64)
         if projections.ndim != 3:
             raise ValidationError(
@@ -893,33 +803,34 @@ class LSHIndex:
             )
         if active.shape != (n,):
             raise ValidationError(f"active shape {active.shape} != ({n},)")
+        if not (np.isfinite(projections).all() and np.isfinite(hash_offsets).all()):
+            raise ValidationError("projections and hash_offsets must be finite")
         self = cls.__new__(cls)
         self._data = data
-        self.r = float(r)
+        self.r = r
         self.n_projections = int(mu)
         self.n_tables = int(l)
-        families = self._stack_hash_state(
-            np.ascontiguousarray(projections).reshape(l * mu, dim),
-            np.ascontiguousarray(hash_offsets).reshape(l * mu),
-            np.ascontiguousarray(mixers, dtype=np.uint64),
-        )
-        self._tables = [
-            _Table(family, mixer, np.ascontiguousarray(item_keys[t]))
-            for t, (family, mixer) in enumerate(zip(families, self._mixers))
-        ]
+        self._projections = np.ascontiguousarray(projections).reshape(l * mu, dim)
+        self._hash_offsets = np.ascontiguousarray(hash_offsets).reshape(l * mu)
+        self._mixers = np.ascontiguousarray(mixers, dtype=np.uint64)
+        self._item_keys = np.ascontiguousarray(item_keys, dtype=np.uint64)
         self._active = np.array(active, dtype=bool)
-        self._rebuild_combined()
+        self._build_csr(self._item_keys)
         return self
 
     # ------------------------------------------------------------------
     # bucket statistics (PALID seed sampling, paper §4.6)
     # ------------------------------------------------------------------
-    def _active_bucket_counts(self, table: _Table) -> np.ndarray:
-        """Active-member count of every bucket of one table."""
-        if table.members.size == 0:
-            return np.zeros(0, dtype=np.int64)
-        flags = self._active[table.members].astype(np.int64)
-        return np.add.reduceat(flags, table.offsets[:-1])
+    def _active_bucket_counts(self, table: int) -> np.ndarray:
+        """Active-member count of every bucket of one table (its CSR slice)."""
+        if not 0 <= table < self.n_tables:
+            raise IndexError(f"table {table} out of range [0, {self.n_tables})")
+        n = self.n
+        lo, hi = self._table_bucket_base[table : table + 2]
+        flags = self._active[self._g_members[table * n : (table + 1) * n]]
+        return np.add.reduceat(
+            flags.astype(np.int64), self._g_starts[lo:hi] - table * n
+        )
 
     def active_bucket_populations(self) -> np.ndarray:
         """Active-member count of every fused-CSR bucket, in one pass.
@@ -1035,20 +946,14 @@ class LSHIndex:
             raise IndexError(f"table {table} out of range [0, {self.n_tables})")
         if not active_only:
             return self._g_lengths[self._item_buckets[table]]
-        counts = self._active_bucket_counts(self._tables[table])
-        local_ids = self._item_buckets[table] - self._table_bucket_base[table]
-        return counts[local_ids]
+        counts = self._active_bucket_counts(table)
+        return counts[self._item_buckets[table] - self._table_bucket_base[table]]
 
     def bucket_sizes(self, table: int = 0) -> dict[int, int]:
         """Bucket key -> active-member count for one table."""
-        if not 0 <= table < self.n_tables:
-            raise IndexError(f"table {table} out of range [0, {self.n_tables})")
-        t = self._tables[table]
-        counts = self._active_bucket_counts(t)
-        return {
-            int(key): int(count)
-            for key, count in zip(t.unique_keys.tolist(), counts.tolist())
-        }
+        counts = self._active_bucket_counts(table)
+        lo, hi = self._table_bucket_base[table : table + 2]
+        return dict(zip(self._g_keys[lo:hi].tolist(), counts.tolist()))
 
     def large_buckets(
         self, min_size: int = 6, table: int | None = 0
@@ -1061,12 +966,13 @@ class LSHIndex:
         for seeding: a cluster that never concentrates in one table's
         buckets may still do so in another's).
         """
-        tables = self._tables if table is None else [self._tables[table]]
+        tables = range(self.n_tables) if table is None else [table]
         out = []
         for t in tables:
             counts = self._active_bucket_counts(t)
-            for pos in np.flatnonzero(counts >= min_size):
-                members = t.members[t.offsets[pos] : t.offsets[pos + 1]]
+            for b in np.flatnonzero(counts >= min_size) + self._table_bucket_base[t]:
+                start = self._g_starts[b]
+                members = self._g_members[start : start + self._g_lengths[b]]
                 out.append(members[self._active[members]])
         return out
 

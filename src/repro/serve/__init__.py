@@ -109,6 +109,7 @@ from repro.serve.verify import (
     verify_artifact,
     verify_chain,
     verify_delta,
+    verify_plan,
     verify_snapshot,
     verify_wal,
 )
@@ -149,6 +150,7 @@ __all__ = [
     "verify_artifact",
     "verify_chain",
     "verify_delta",
+    "verify_plan",
     "verify_snapshot",
     "verify_wal",
     "WALRecord",

@@ -1,4 +1,4 @@
-"""Offline artifact audit: snapshots, delta chains, write-ahead logs.
+"""Offline artifact audit: snapshots, delta chains, shard plans, journals.
 
 The read-only integrity half of the durability story, run through the
 serving load path itself, so ``repro verify`` refuses exactly what a
@@ -10,7 +10,9 @@ start-up; a chain by the one walk
 :func:`~repro.serve.compact.load_chain_tip` and
 :func:`~repro.serve.compact.compact_chain` use, after which every
 committed publish marker of its journal must pin an artifact of the
-chain.  ``repro verify`` is the CLI face: exit 0 with a summary line
+chain; a shard plan by :meth:`~repro.serve.plan.ShardPlan.load` plus
+the snapshot audit of every shard a worker would serve.  ``repro
+verify`` is the CLI face: exit 0 with a summary line
 per artifact, or exit 2 with a one-line diagnosis.
 
 Every checker returns a small report dict on success and raises
@@ -34,6 +36,7 @@ from repro.serve.artifact import (
     read_manifest,
 )
 from repro.serve.compact import BASE_NAME, walk_chain
+from repro.serve.plan import PLAN_NAME, ShardPlan
 from repro.serve.snapshot import DetectionSnapshot, SnapshotDelta
 from repro.serve.wal import WAL_MAGIC, read_records
 
@@ -41,6 +44,7 @@ __all__ = [
     "verify_artifact",
     "verify_chain",
     "verify_delta",
+    "verify_plan",
     "verify_snapshot",
     "verify_wal",
 ]
@@ -87,6 +91,25 @@ def verify_snapshot(path) -> dict:
 def verify_delta(path) -> dict:
     """Audit one delta directory on its own; return its summary or raise."""
     return _delta_report(path, SnapshotDelta.load(path, mmap=True))
+
+
+def verify_plan(path) -> dict:
+    """Audit a shard-plan directory; return its summary or raise.
+
+    :meth:`ShardPlan.load` checks the plan and pins every shard's
+    manifest and items file; each shard then passes the load and index
+    restore its worker runs (:func:`verify_snapshot`).
+    """
+    plan = ShardPlan.load(path)
+    return {
+        "kind": "plan",
+        "path": str(path),
+        "parent_sha256": plan.parent_manifest_sha256,
+        "shards": [
+            verify_snapshot(plan.shard_dir(spec.shard_id))
+            for spec in plan.shards
+        ],
+    }
 
 
 def _audit_wal(path, allow_torn_tail: bool):
@@ -178,7 +201,8 @@ def verify_artifact(path, *, allow_torn_tail: bool = False) -> dict:
     """Audit *path*, whatever artifact kind it is.
 
     A file starting with the WAL magic is a journal; a directory with a
-    ``base/`` sub-snapshot is a chain; otherwise the manifest's envelope
+    ``base/`` sub-snapshot is a chain, one with a ``plan.json`` a shard
+    plan; otherwise the manifest's envelope
     (:func:`~repro.serve.artifact.read_manifest`) says whether it is a
     snapshot or a delta.  Anything else raises with a one-line
     diagnosis.
@@ -200,6 +224,8 @@ def verify_artifact(path, *, allow_torn_tail: bool = False) -> dict:
         and not (path / MANIFEST_NAME).is_file()
     ):
         return verify_chain(path, allow_torn_tail=allow_torn_tail)
+    if (path / PLAN_NAME).is_file():
+        return verify_plan(path)
     if not (path / MANIFEST_NAME).is_file():
         raise SnapshotError(
             f"{path} is not a known artifact: no {MANIFEST_NAME} and "

@@ -74,6 +74,8 @@ class StreamingALID:
         self._data: np.ndarray | None = None
         self._kernel: LaplacianKernel | None = None
         self._index: LSHIndex | None = None
+        # (batch, kernel, index) calibrated on a first batch not yet ingested.
+        self._calibrated: tuple | None = None
         self._counters = AffinityCounters()
         self._clusters: list[Cluster] = []
         self._assigned: np.ndarray = np.zeros(0, dtype=bool)
@@ -127,16 +129,22 @@ class StreamingALID:
 
     # ------------------------------------------------------------------
     def check_batch(self, batch: np.ndarray) -> np.ndarray:
-        """Refuse what :meth:`partial_fit` would refuse, changing nothing.
+        """Refuse what :meth:`partial_fit` would refuse.
 
-        Checks the matrix (2-D, non-empty, finite) and, once the stream
-        holds data, the width and whether every row can be hashed into
-        the index (:meth:`repro.lsh.index.LSHIndex.check_hashable`).  A
-        journaled caller runs this before it records the batch.
-        Returns the canonical ``float64`` batch.
+        Checks the matrix (2-D, non-empty, finite), then whether every
+        row can be hashed into the index: once the stream holds data,
+        the width and :meth:`repro.lsh.index.LSHIndex.check_hashable`;
+        on an empty stream, by calibrating the kernel and building the
+        index on the batch, which :meth:`partial_fit` then adopts for
+        that same batch instead of building them again.  The stream's
+        data and clusters are left unchanged.  A journaled caller runs
+        this before it records the batch.  Returns the canonical
+        ``float64`` batch.
         """
         batch = check_data_matrix(batch, name="batch")
-        if self._data is not None:
+        if self._data is None:
+            self._calibrate(batch)
+        else:
             self._check_width(batch)
             self._index.check_hashable(batch)
         return batch
@@ -374,7 +382,19 @@ class StreamingALID:
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
-    def _bootstrap(self, batch: np.ndarray) -> None:
+    def _calibrate(self, batch: np.ndarray) -> tuple:
+        """Kernel and LSH index fixed from the first batch, built once.
+
+        Kept as ``(batch, kernel, index)`` and reused only for a batch
+        equal to the one they were built on, so a batch that was checked
+        but never ingested (its journal append failed, say) cannot lend
+        its calibration to a different first batch.
+        """
+        if self._calibrated is not None and np.array_equal(
+            self._calibrated[0], batch
+        ):
+            return self._calibrated
+        batch = batch.copy()
         cfg = self.config
         k = cfg.kernel_k
         if k is None:
@@ -384,20 +404,25 @@ class StreamingALID:
                 target_affinity=cfg.kernel_target_affinity,
                 seed=cfg.seed,
             )
-        self._kernel = LaplacianKernel(k=k, p=cfg.kernel_p)
+        kernel = LaplacianKernel(k=k, p=cfg.kernel_p)
         lsh_r = cfg.lsh_r
         if lsh_r is None:
-            lsh_r = cfg.lsh_r_scale * self._kernel.distance_from_affinity(
+            lsh_r = cfg.lsh_r_scale * kernel.distance_from_affinity(
                 cfg.kernel_target_affinity
             )
-        self._index = LSHIndex(
+        index = LSHIndex(
             batch,
             r=float(lsh_r),
             n_projections=cfg.lsh_projections,
             n_tables=cfg.lsh_tables,
             seed=cfg.seed,
         )
-        self._data = batch.copy()
+        self._calibrated = (batch, kernel, index)
+        return self._calibrated
+
+    def _bootstrap(self, batch: np.ndarray) -> None:
+        self._data, self._kernel, self._index = self._calibrate(batch)
+        self._calibrated = None
         self._assigned = np.zeros(batch.shape[0], dtype=bool)
         self._retired = np.zeros(batch.shape[0], dtype=bool)
 

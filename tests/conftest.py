@@ -113,3 +113,61 @@ def tiny_affinity_matrix(n: int = 8, seed: int = 0) -> np.ndarray:
     sym = (raw + raw.T) / 2.0
     np.fill_diagonal(sym, 0.0)
     return sym
+
+
+#: The arrays that make up an LSH index's one CSR.
+LSH_CSR_ARRAYS = (
+    "_g_keys",
+    "_g_starts",
+    "_g_lengths",
+    "_g_members",
+    "_item_buckets",
+    "_table_bucket_base",
+)
+
+
+def lsh_reference_keys(state: dict, r: float, points: np.ndarray) -> np.ndarray:
+    """``(l, q)`` LSH bucket keys of *points*, hashed table by table.
+
+    An independent reference for :class:`repro.lsh.index.LSHIndex`,
+    computed from its ``export_state()``: table ``t``'s key of ``x`` is
+    ``floor((x @ P_t.T + b_t) / r)`` cast int64 -> uint64, times the
+    table's mixer row, summed with wraparound.
+    """
+    keys = []
+    for proj, offsets, mixer in zip(
+        state["projections"], state["hash_offsets"], state["mixers"]
+    ):
+        codes = np.floor((points @ proj.T + offsets) / r).astype(np.int64)
+        keys.append((codes.astype(np.uint64) * mixer).sum(axis=1, dtype=np.uint64))
+    return np.stack(keys)
+
+
+def assert_lsh_csr_matches_reference(index) -> None:
+    """An LSH index's CSR equals per-table dicts from key to sorted items.
+
+    The dicts are built from ``export_state()["item_keys"]``.  Buckets
+    are numbered table-major with keys ascending within a table; each
+    bucket's members are contiguous in the flat member array, in
+    ascending item order; every item maps to its bucket in every table.
+    """
+    item_keys = index.export_state()["item_keys"]
+    l, n = item_keys.shape
+    bucket = 0
+    for t, row in enumerate(item_keys.tolist()):
+        buckets: dict[int, list[int]] = {}
+        for item, key in enumerate(row):
+            buckets.setdefault(key, []).append(item)
+        assert index._table_bucket_base[t] == bucket
+        start = t * n
+        for key in sorted(buckets):
+            items = buckets[key]
+            assert int(index._g_keys[bucket]) == key
+            assert index._g_starts[bucket] == start
+            assert index._g_lengths[bucket] == len(items)
+            assert index._g_members[start : start + len(items)].tolist() == items
+            assert (index._item_buckets[t, items] == bucket).all()
+            start += len(items)
+            bucket += 1
+    assert index._g_keys.size == index._g_lengths.size == bucket
+    assert index._table_bucket_base[l] == bucket

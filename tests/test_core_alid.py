@@ -192,6 +192,14 @@ class TestALIDFit:
         with pytest.raises(ValidationError):
             ALID(blob_config).fit(np.zeros(5))
 
+    def test_rejects_a_row_it_cannot_hash(self, small_mixture):
+        # A finite row projecting outside the int64 hash codes is refused
+        # by the index build, as insert and every query refuse it.
+        data = small_mixture.data.copy()
+        data[17] = 1e300
+        with pytest.raises(ValidationError, match="int64"):
+            ALID().fit(data)
+
     def test_metadata(self, blob_data, blob_config):
         data, _ = blob_data
         result = ALID(blob_config).fit(data)

@@ -11,6 +11,23 @@ from repro.lsh.params import (
     retrieval_probability,
     suggest_tables,
 )
+from tests.conftest import (
+    LSH_CSR_ARRAYS,
+    assert_lsh_csr_matches_reference,
+    lsh_reference_keys,
+)
+
+
+def _assert_same_index(got, want):
+    """Equal export_state() and equal CSR arrays (values and dtypes)."""
+    got_state, want_state = got.export_state(), want.export_state()
+    assert got_state.keys() == want_state.keys()
+    for name, array in want_state.items():
+        assert got_state[name].dtype == array.dtype, name
+        assert np.array_equal(got_state[name], array), name
+    for name in LSH_CSR_ARRAYS:
+        assert getattr(got, name).dtype == getattr(want, name).dtype, name
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
 
 
 class TestPStableHashFamily:
@@ -367,21 +384,7 @@ class TestCollisionStructure:
 
 
 class TestMergeInsert:
-    """The merge-based CSR update must equal a rebuild from scratch."""
-
-    def _rebuilt_reference(self, data, extra, **kwargs):
-        """Index over data+extra built the expensive way: full re-sort."""
-        reference = LSHIndex(data, **kwargs)
-        for table in reference._tables:
-            table.item_keys = np.concatenate(
-                [table.item_keys, table.keys_of_points(extra)]
-            )
-            table._rebuild()
-        reference._active = np.ones(
-            data.shape[0] + extra.shape[0], dtype=bool
-        )
-        reference._rebuild_combined()
-        return reference
+    """Insert (a stable-sort merge) must equal a build from scratch."""
 
     def test_insert_equals_rebuild(self, blob_data, rng):
         data, _ = blob_data
@@ -390,14 +393,13 @@ class TestMergeInsert:
         merged = LSHIndex(data, **kwargs)
         merged.insert(extra[:11])
         merged.insert(extra[11:])
-        reference = self._rebuilt_reference(data, extra, **kwargs)
-        for got, want in zip(merged._tables, reference._tables):
-            assert np.array_equal(got.item_keys, want.item_keys)
-            assert np.array_equal(got.unique_keys, want.unique_keys)
-            assert np.array_equal(got.offsets, want.offsets)
-            assert np.array_equal(got.members, want.members)
-        assert np.array_equal(merged._g_members, reference._g_members)
-        assert np.array_equal(merged._item_buckets, reference._item_buckets)
+        everything = np.vstack([data, extra])
+        assert np.array_equal(
+            merged.export_state()["item_keys"],
+            lsh_reference_keys(merged.export_state(), merged.r, everything),
+        )
+        assert_lsh_csr_matches_reference(merged)
+        _assert_same_index(merged, LSHIndex(everything, **kwargs))
 
     def test_insert_queries_match_fresh_index(self, blob_data, rng):
         data, _ = blob_data
@@ -421,12 +423,11 @@ class TestMergeInsert:
         data = np.tile(np.arange(4.0)[None, :], (6, 1))
         index = LSHIndex(data, r=1.0, n_projections=4, n_tables=3, seed=0)
         index.insert(data[:3])
-        for table in index._tables:
-            for pos in range(table.unique_keys.size):
-                bucket = table.members[
-                    table.offsets[pos] : table.offsets[pos + 1]
-                ]
-                assert np.array_equal(bucket, np.sort(bucket))
+        assert_lsh_csr_matches_reference(index)
+        assert index._g_lengths.tolist() == [9, 9, 9]
+        for b in range(index._g_lengths.size):
+            bucket = index._gather_buckets(np.asarray([b]))
+            assert np.array_equal(bucket, np.arange(9))
 
 
 class TestQueryPointsGrouped:
@@ -470,12 +471,8 @@ class TestExportRestoreState:
         data, _ = blob_data
         state = small_index.export_state()
         restored = LSHIndex.from_state(data, r=small_index.r, **state)
-        for got, want in zip(restored._tables, small_index._tables):
-            assert np.array_equal(got.item_keys, want.item_keys)
-            assert np.array_equal(got.unique_keys, want.unique_keys)
-            assert np.array_equal(got.offsets, want.offsets)
-            assert np.array_equal(got.members, want.members)
-            assert np.array_equal(got.mixer, want.mixer)
+        _assert_same_index(restored, small_index)
+        assert_lsh_csr_matches_reference(restored)
         for i in range(restored.n):
             assert np.array_equal(
                 restored.query_item(i), small_index.query_item(i)
@@ -507,6 +504,23 @@ class TestExportRestoreState:
         with pytest.raises(ValidationError):
             LSHIndex.from_state(data, r=small_index.r, **bad)
 
+    @pytest.mark.parametrize("r", [0.0, -1.0, np.nan, np.inf])
+    def test_r_must_be_positive_and_finite(self, small_index, blob_data, r):
+        data, _ = blob_data
+        with pytest.raises(ValidationError, match="r must be"):
+            LSHIndex.from_state(data, r=r, **small_index.export_state())
+
+    @pytest.mark.parametrize("name", ["projections", "hash_offsets"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_hash_state_raises(
+        self, small_index, blob_data, name, value
+    ):
+        data, _ = blob_data
+        state = small_index.export_state()
+        state[name].flat[3] = value
+        with pytest.raises(ValidationError, match="finite"):
+            LSHIndex.from_state(data, r=small_index.r, **state)
+
 
 def _paper_scale_index(n=400, dim=12, seed=3):
     """An index with the paper's table shape (40 projections x 50 tables)."""
@@ -517,11 +531,11 @@ def _paper_scale_index(n=400, dim=12, seed=3):
 
 
 class TestStackedHashing:
-    """Query-time keys come from the stacked, chunked hashing path.
+    """Keys come from one stacked, chunked hashing path.
 
-    The build hashes table by table (``_Table.keys_of_points``); foreign
-    points are hashed against all tables with one matmul per chunk of
-    ``HASH_CHUNK_ROWS`` rows.  The two must agree bit for bit, or a
+    The build, inserts and queries hash against all tables at once, in
+    chunks of ``HASH_CHUNK_ROWS`` rows.  Its keys must equal the
+    per-table definition bit for bit (``lsh_reference_keys``), or a
     query would miss the bucket its twin item was filed in.
     """
 
@@ -538,31 +552,25 @@ class TestStackedHashing:
         )
         keys = index._block_keys(points)
         assert keys.shape == (index.n_tables, q, 1)
-        for t, table in enumerate(index._tables):
-            assert np.array_equal(keys[t, :, 0], table.keys_of_points(points))
+        assert np.array_equal(
+            keys[:, :, 0],
+            lsh_reference_keys(index.export_state(), index.r, points),
+        )
 
     def test_own_data_reproduces_stored_keys(self):
         data, index = _paper_scale_index()
         restored = LSHIndex.from_state(data, r=index.r, **index.export_state())
+        reference = lsh_reference_keys(index.export_state(), index.r, data)
         for built in (index, restored):
-            keys = built._block_keys(data)
-            for t, table in enumerate(built._tables):
-                assert np.array_equal(keys[t, :, 0], table.item_keys)
+            stored = built.export_state()["item_keys"]
+            assert np.array_equal(stored, reference)
+            assert np.array_equal(built._block_keys(data)[:, :, 0], stored)
             # ...so every item hits its own bucket in every table.
             qids, buckets = built.point_bucket_hits(data)
             hit = np.zeros((built.n, built._g_lengths.size), dtype=bool)
             hit[qids, buckets] = True
             own = built._item_buckets.T
             assert hit[np.arange(built.n)[:, None], own].all()
-
-    def test_tables_hold_views_not_copies(self):
-        data, index = _paper_scale_index()
-        index.insert(data[:5] + 0.5)
-        for table in index._tables:
-            assert np.shares_memory(table.family._projections, index._projections)
-            assert np.shares_memory(table.mixer, index._mixers)
-            assert np.shares_memory(table.members, index._g_members)
-            assert np.shares_memory(table.unique_keys, index._g_keys)
 
     def test_hits_are_unique_and_match_grouped_queries(self, small_index, rng):
         data = np.vstack([small_index._data, small_index._data[:10]])
@@ -593,6 +601,12 @@ class TestHugeQueries:
             small_index.query_points_grouped(point)
         with pytest.raises(ValidationError, match="int64"):
             small_index.query_point(point[0])
+
+    def test_build_refuses_an_unhashable_row(self, blob_data):
+        data = blob_data[0].copy()
+        data[7] = 1e300
+        with pytest.raises(ValidationError, match="int64"):
+            LSHIndex(data, r=5.0, n_projections=6, n_tables=5, seed=3)
 
     def test_huge_row_in_a_later_chunk_raises(self, small_index):
         points = np.zeros((130, 8))
@@ -630,35 +644,23 @@ class TestHugeQueries:
 
 
 class TestItemBucketMap:
-    """``_item_buckets`` against an independent key-search reference."""
-
-    @staticmethod
-    def _assert_matches_key_search(index):
-        for t, table in enumerate(index._tables):
-            reference = np.searchsorted(table.unique_keys, table.item_keys)
-            assert np.array_equal(
-                table.unique_keys[reference], table.item_keys
-            )
-            assert np.array_equal(
-                index._item_buckets[t],
-                reference + index._table_bucket_base[t],
-            )
+    """``_item_buckets`` against an independent per-table dict reference."""
 
     def test_after_construction(self, small_index):
-        self._assert_matches_key_search(small_index)
+        assert_lsh_csr_matches_reference(small_index)
 
     def test_after_insert_into_new_buckets(self, small_index, rng):
         before = small_index._g_lengths.size
         far = rng.uniform(200.0, 400.0, size=(9, 8))
         small_index.insert(far)
         assert small_index._g_lengths.size > before
-        self._assert_matches_key_search(small_index)
+        assert_lsh_csr_matches_reference(small_index)
 
     def test_after_insert_into_duplicate_key_buckets(self, small_index):
         before = small_index._g_lengths.size
         small_index.insert(small_index._data[:7].copy())
         assert small_index._g_lengths.size == before
-        self._assert_matches_key_search(small_index)
+        assert_lsh_csr_matches_reference(small_index)
         for i in range(7):
             assert np.array_equal(
                 small_index._item_buckets[:, small_index.n - 7 + i],
@@ -670,7 +672,7 @@ class TestItemBucketMap:
         restored = LSHIndex.from_state(
             small_index._data, r=small_index.r, **small_index.export_state()
         )
-        self._assert_matches_key_search(restored)
+        assert_lsh_csr_matches_reference(restored)
         assert np.array_equal(restored._item_buckets, small_index._item_buckets)
 
 

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from repro.exceptions import ValidationError
 from repro.lsh.index import LSHIndex
 from repro.lsh.multiprobe import MultiProbeQuerier, perturbation_sets
+from tests.conftest import lsh_reference_keys
 
 
 class TestPerturbationSets:
@@ -267,11 +268,15 @@ class TestVectorizedEnumeration:
         fast = MultiProbeQuerier(index, n_probes=n_probes)
         slow = MultiProbeQuerier(index, n_probes=n_probes)
         slow._probe_plan = lambda mu: None  # force the per-query heap
-        for table in index._tables:
-            coords = table.family.project(points)
+        state = index.export_state()
+        base_keys = lsh_reference_keys(state, index.r, points)
+        for proj, offsets, mixer, base in zip(
+            state["projections"], state["hash_offsets"], state["mixers"],
+            base_keys,
+        ):
+            coords = (points @ proj.T + offsets) / index.r
             fractions = coords - np.floor(coords)
-            base = table.keys_of_points(points)
-            mixers = np.broadcast_to(table.mixer, fractions.shape)
+            mixers = np.broadcast_to(mixer, fractions.shape)
             np.testing.assert_array_equal(
                 fast.probe_keys(fractions, base, mixers),
                 slow.probe_keys(fractions, base, mixers),

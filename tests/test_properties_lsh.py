@@ -19,6 +19,7 @@ from hypothesis.stateful import (
 )
 
 from repro.lsh.index import LSHIndex, csr_gather, sorted_unique
+from tests.conftest import LSH_CSR_ARRAYS, assert_lsh_csr_matches_reference
 
 DIM = 4
 SEED = 1234
@@ -128,13 +129,20 @@ class LSHIndexMachine(RuleBasedStateMachine):
 
     @invariant()
     def item_bucket_map_matches_key_search(self):
-        # The map is read off each table's sort order; an independent
-        # key search must agree after any interleaving of inserts.
-        for t, table in enumerate(self.index._tables):
+        # The CSR is laid out by merging inserts into sorted tables; an
+        # independent per-table dict must agree after any interleaving.
+        assert_lsh_csr_matches_reference(self.index)
+
+    @invariant()
+    def csr_matches_a_restore(self):
+        # Inserted and restored layouts are one: a full re-sort of the
+        # exported keys gives the same arrays.
+        restored = LSHIndex.from_state(
+            self.index._data, r=self.index.r, **self.index.export_state()
+        )
+        for name in LSH_CSR_ARRAYS:
             np.testing.assert_array_equal(
-                self.index._item_buckets[t],
-                np.searchsorted(table.unique_keys, table.item_keys)
-                + self.index._table_bucket_base[t],
+                getattr(self.index, name), getattr(restored, name)
             )
 
 

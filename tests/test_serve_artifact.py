@@ -2,9 +2,9 @@
 
 One test per defect class of hostile-but-parseable artifacts: malformed
 JSON sections, manifest, plan and journal paths that leave the
-artifact, arrays of the wrong dtype, corruptions the offline audit must refuse exactly as the
-serving load does, and ``.npy`` headers that promise more bytes than the
-file holds.  Every case must surface as a typed
+artifact, arrays of the wrong dtype, non-finite floats, corruptions the
+offline audit must refuse exactly as the serving load does, and
+``.npy`` headers that promise more bytes than the file holds.  Every case must surface as a typed
 :class:`~repro.exceptions.SnapshotError`, never a traceback or a
 silently wrong answer.
 """
@@ -234,6 +234,58 @@ class TestVerifyEqualsServe:
             ClusterService(snap)
         with pytest.raises(SnapshotError):
             verify_artifact(snap)
+
+
+class TestNonFiniteArrays:
+    """NaN or inf where a finite float is due is refused on load.
+
+    Cluster weights and densities would silently change labels; a
+    non-finite projection or offset would start a service whose every
+    query fails.  The first two fail the load, the others the index
+    restore, so the offline audit refuses each with one line.
+    """
+
+    @pytest.mark.parametrize(
+        "name, index, value",
+        [
+            ("cluster_weights", 0, np.nan),
+            ("cluster_densities", 0, np.nan),
+            ("projections", (0, 0, 0), np.nan),
+            ("hash_offsets", (0, 0), np.inf),
+        ],
+        ids=["weights-nan", "densities-nan", "projections-nan", "offsets-inf"],
+    )
+    def test_refused_everywhere(self, snap, name, index, value, capsys):
+        array = np.load(snap / "arrays" / f"{name}.npy")
+        array[index] = value
+        _rewrite_array(snap, name, array)
+        with pytest.raises(SnapshotError):
+            DetectionSnapshot.load(snap).restore_index()
+        with pytest.raises(SnapshotError):
+            ClusterService(snap)
+        with pytest.raises(SnapshotError):
+            verify_artifact(snap)
+        _assert_cli_refuses(snap, capsys)
+
+
+class TestVerifyPlan:
+    def test_fresh_plan_verifies(self, shards, capsys):
+        report = verify_artifact(shards)
+        assert report["kind"] == "plan"
+        assert len(report["shards"]) == 2
+        assert main(["verify", str(shards)]) == 0
+        out = capsys.readouterr().out.strip()
+        assert "plan ok" in out and "\n" not in out
+
+    def test_tampered_shard_array_is_refused(self, shards, capsys):
+        target = shards / "shard_001" / "arrays" / "cluster_weights.npy"
+        blob = bytearray(target.read_bytes())
+        blob[-1] ^= 0xFF
+        target.write_bytes(bytes(blob))
+        ShardPlan.load(shards)  # the plan pins only manifests and items
+        with pytest.raises(SnapshotError, match="shard_001"):
+            verify_artifact(shards)
+        _assert_cli_refuses(shards, capsys)
 
 
 class TestBoundedAllocation:

@@ -634,6 +634,62 @@ class TestRecoverValidation:
         finally:
             recovered.close()
 
+    def test_unhashable_first_batch_refused_before_journaling(
+        self, batches, tmp_path
+    ):
+        """An empty stream's check builds the first batch's index.
+
+        That build refuses a row too large to hash before the record is
+        written, so the journal holds only ``begin`` and recovers.
+        """
+        path = tmp_path / "j.wal"
+        service = IngestService(
+            StreamingALID(_config()), repeel="sync", wal=path
+        )
+        bad = batches["b1"].copy()
+        bad[7] = 1e300
+        try:
+            with pytest.raises(ValidationError, match="int64"):
+                service.ingest(bad)
+            assert service.stream.n_items == 0
+        finally:
+            service.close()
+        records, _, _ = read_records(path)
+        assert [record.kind for record in records] == ["begin"]
+        IngestService.recover(path).close()
+
+    def test_first_batch_lost_to_enospc_lends_no_calibration(
+        self, batches, tmp_path
+    ):
+        """The check's kernel and index serve only the batch it checked.
+
+        The first batch passes the check but its journal append fails;
+        a different batch ingested next must be calibrated on itself,
+        exactly as in a stream fed only that batch.
+        """
+        wal = WriteAheadLog(
+            tmp_path / "j.wal", fault_hook=FaultInjector(enospc_at_record=1)
+        )
+        service = IngestService(
+            StreamingALID(_config()), repeel="sync", wal=wal
+        )
+        clean = IngestService(StreamingALID(_config()), repeel="sync")
+        try:
+            with pytest.raises(OSError, match="ENOSPC|injected"):
+                service.ingest(batches["b1"])
+            assert service.stream.n_items == 0
+            service.ingest(batches["b2"])
+            clean.ingest(batches["b2"])
+            _assert_streams_identical(service.stream, clean.stream)
+            got, want = service.stream, clean.stream
+            assert got._kernel.k == want._kernel.k
+            assert got._index.r == want._index.r
+            for name, array in want._index.export_state().items():
+                assert np.array_equal(got._index.export_state()[name], array)
+        finally:
+            service.close()
+            clean.close()
+
     def test_boolean_mask_refused_before_journaling(
         self, batches, tmp_path
     ):

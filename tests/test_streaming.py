@@ -171,6 +171,31 @@ class TestStreamingALID:
         with pytest.raises(ValidationError):
             stream.partial_fit(np.zeros((3, 99)))
 
+    def test_checked_first_batch_is_built_once(
+        self, blob_data, stream_config, monkeypatch
+    ):
+        """The check builds the first batch's index; the fit adopts it."""
+        import repro.streaming.online as online
+
+        data, _ = blob_data
+        built = []
+
+        def counting_index(*args, **kwargs):
+            built.append(args[0].shape)
+            return LSHIndex(*args, **kwargs)
+
+        monkeypatch.setattr(online, "LSHIndex", counting_index)
+        stream = StreamingALID(stream_config)
+        stream.partial_fit(stream.check_batch(data[:30]))
+        stream.partial_fit(stream.check_batch(data[30:]))
+        assert built == [(30, data.shape[1])]
+        # A batch other than the checked one is calibrated on itself.
+        other = StreamingALID(stream_config)
+        other.check_batch(data[:30])
+        other.partial_fit(data[30:50])
+        assert built[1:] == [(30, data.shape[1]), (20, data.shape[1])]
+        assert np.array_equal(other.data, data[30:50])
+
     def test_result_without_data(self, stream_config):
         stream = StreamingALID(stream_config)
         snapshot = stream.result()

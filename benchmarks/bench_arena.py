@@ -2,9 +2,9 @@
 """Arena benchmark: the tiny evaluation matrix, run twice, gated on determinism.
 
 Runs the :mod:`repro.arena` harness on its built-in tiny synthetic pair
-with two detectors (ALID's fused backend and k-means) — the
-``arena_tiny`` CI lane.  The matrix is executed **twice** back to back
-and the two :meth:`~repro.arena.runner.ArenaReport.fingerprint` values
+with two detectors (ALID and k-means) — the ``arena_tiny`` CI lane.
+The matrix is executed **twice** back to back and the two
+:meth:`~repro.arena.runner.ArenaReport.fingerprint` values
 are compared: the ``cells_deterministic`` boolean is the lane's core
 claim (bit-reproducible evaluation cells), and ``no_crashed_cells``
 asserts every cell finished ``OK`` under the enforced limits.  Both are
@@ -65,7 +65,7 @@ _SEED = 7
 # (the committed baseline pins entries_computed for this exact matrix).
 WORKLOADS = {
     "arena_tiny": {
-        "detectors": ("alid-fused", "km"),
+        "detectors": ("alid", "km"),
         "seeds": (_SEED,),
         "wall_seconds": 120.0,
     },

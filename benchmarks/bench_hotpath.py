@@ -2,7 +2,7 @@
 """Hot-path benchmark: wall-clock and work accounting for fixed workloads.
 
 Runs the ALID end-to-end pipeline plus three micro-workloads (batched
-LSH retrieval, LID dynamics, and the per-backend LID kernel lane) on
+LSH retrieval, LID dynamics, and the fused-vs-reference LID loop lane) on
 deterministic synthetic mixtures and writes a machine-readable
 ``BENCH_hotpath.json``:
 
@@ -59,7 +59,7 @@ from repro.core.alid import ALID, ALIDEngine  # noqa: E402
 from repro.core.config import ALIDConfig  # noqa: E402
 from repro.datasets.synthetic import make_synthetic_mixture  # noqa: E402
 from repro.dynamics.lid import LIDState, lid_dynamics  # noqa: E402
-from repro.dynamics.lid_kernel import LID_KERNELS  # noqa: E402
+from repro.dynamics.lid_kernel import run_fused, run_reference  # noqa: E402
 
 # Fixed synthetic workloads.  Sizes/seeds must never change silently:
 # the CI regression gate compares `entries_computed` against the
@@ -202,21 +202,24 @@ def _lid_workload(engine: ALIDEngine, beta_size: int) -> LIDState:
 
 
 def bench_lid_kernel(size_key: str) -> dict:
-    """Per-backend LID kernel lane: identical work, per-backend wall.
+    """LID loop lane: the production loop against its oracle.
 
-    Each backend of :mod:`repro.dynamics.lid_kernel` runs the same two
-    sub-workloads over one shared engine — the oracle memoizes nothing,
-    so per-backend work is read as counter deltas and every backend
-    starts from its own empty :class:`LIDState` column cache:
+    :func:`~repro.dynamics.lid_kernel.run_fused` (the loop
+    ``lid_dynamics`` runs) and
+    :func:`~repro.dynamics.lid_kernel.run_reference` (the historical
+    loop it is pinned to) run the same two sub-workloads over one
+    shared engine — the oracle memoizes nothing, so per-loop work is
+    read as counter deltas and every loop starts from its own empty
+    :class:`LIDState` column cache:
 
     * a **cold** run (empty column cache) whose ``entries_computed``
       exercises the run-until-miss path, the LRU recency replay and the
-      fetch accounting — gated in CI to be *identical* across backends
+      fetch accounting — gated in CI to be *identical* across loops
       (``entries_identical``) and within the 10% rule vs the committed
       baseline (top-level ``entries_computed``);
     * a **resident** run (all columns prefetched) isolating the
-      per-period loop the tentpole optimises — ``wall_seconds`` /
-      ``iterations_per_sec`` per backend, with ``fused_speedup`` (the
+      per-period loop — ``wall_seconds`` / ``iterations_per_sec`` per
+      loop (keyed ``backends`` in the report), with ``fused_speedup`` (the
       reference/fused wall ratio, best of two trials) gated in CI
       against a 10% regression floor.
     """
@@ -228,14 +231,12 @@ def bench_lid_kernel(size_key: str) -> dict:
     # range, so this is the representative upper end of the hot path.
     beta_size = min(n, 800)
     backends: dict[str, dict] = {}
-    for name in LID_KERNELS:
+    for name, loop in (("reference", run_reference), ("fused", run_fused)):
         # Cold run: entries_computed is the equivalence fingerprint.
         counters = engine.oracle.counters
         before = counters.entries_computed
         state = _lid_workload(engine, beta_size)
-        cold_iters, _ = lid_dynamics(
-            state, max_iter=400, tol=1e-7, kernel=name
-        )
+        cold_iters, _ = loop(state, 400, 1e-7)
         cold_entries = counters.entries_computed - before
         state.release()
         # Resident run: cache-warm wall clock, best of two trials.
@@ -244,9 +245,7 @@ def bench_lid_kernel(size_key: str) -> dict:
             state = _lid_workload(engine, beta_size)
             state.prefetch_columns(state.beta)
             start = time.perf_counter()
-            iterations, converged = lid_dynamics(
-                state, max_iter=1000, tol=1e-9, kernel=name
-            )
+            iterations, converged = loop(state, 1000, 1e-9)
             wall = time.perf_counter() - start
             state.release()
             if best_wall is None or wall < best_wall:

@@ -239,9 +239,7 @@ def bench_ingest(size_key: str, scratch: pathlib.Path) -> dict:
     chain_root = scratch / f"chain_{size_key}"
     chain_root.mkdir(parents=True, exist_ok=True)
 
-    service = IngestService(
-        StreamingALID(ALIDConfig(seed=_SEED)), repeel="sync"
-    )
+    service = IngestService(StreamingALID(ALIDConfig(seed=_SEED)))
     serving = None
     delta_bytes: list[int] = []
     reload_walls: list[float] = []

@@ -545,9 +545,7 @@ def churn_lane(
     publishes = 0
     start = time.perf_counter()
     with IngestService(
-        StreamingALID(config),
-        repeel="sync",
-        wal=WriteAheadLog(wal_path),
+        StreamingALID(config), wal=WriteAheadLog(wal_path)
     ) as service:
         for number, lo in enumerate(
             range(0, data.shape[0], spec["batch"])

@@ -3,11 +3,11 @@
 
 The quality-arena story in four steps (see ``docs/arena.md``):
 
-1. run a small evaluation matrix — ALID's fused backend against
-   k-means on the arena's built-in tiny synthetic pair, every
-   (detector, dataset, seed) cell in its own subprocess under a wall
-   limit — and print the ASCII leaderboard (accuracy vs the ground
-   truth alongside truth-free quality metrics);
+1. run a small evaluation matrix — ALID against k-means on the
+   arena's built-in tiny synthetic pair, every (detector, dataset,
+   seed) cell in its own subprocess under a wall limit — and print
+   the ASCII leaderboard (accuracy vs the ground truth alongside
+   truth-free quality metrics);
 2. fit ALID on one of those datasets and persist the fitted state as a
    serving snapshot;
 3. annotate the snapshot with per-cluster quality scores
@@ -34,7 +34,7 @@ def main() -> None:
     # --- 1. the evaluation matrix ------------------------------------
     datasets = tiny_datasets()
     runner = ArenaRunner(limits=CellLimits(wall_seconds=120.0))
-    report = runner.run(datasets, detectors=("alid-fused", "km"), seeds=(0,))
+    report = runner.run(datasets, detectors=("alid", "km"), seeds=(0,))
     print(report.leaderboard(title="arena quickstart"))
     statuses = sorted({cell.status for cell in report.cells})
     print(

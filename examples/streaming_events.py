@@ -38,9 +38,7 @@ def main() -> None:
     n_days = 6
     day_slices = np.array_split(order, n_days)
 
-    ingest = IngestService(
-        StreamingALID(ALIDConfig(delta=300, seed=0)), repeel="sync"
-    )
+    ingest = IngestService(StreamingALID(ALIDConfig(delta=300, seed=0)))
     print(
         f"streaming {corpus.n} articles over {n_days} 'days'; "
         f"{corpus.n_true_clusters} hot events hide in the stream\n"

@@ -114,10 +114,11 @@ class ColumnBlockCache:
     def resident_view(self) -> tuple[np.ndarray, np.ndarray]:
         """The backing matrix plus a row-position → slot map.
 
-        The contract behind the run-until-miss LID kernels
-        (:mod:`repro.dynamics.lid_kernel`): returns ``(buf, slots)``
-        where ``buf[slots[p]]`` is the cached column ``A[rows,
-        rows[p]]`` and ``slots[p] < 0`` marks a non-resident column.
+        The contract behind the run-until-miss LID loop
+        (:func:`repro.dynamics.lid_kernel.run_fused`): returns
+        ``(buf, slots)`` where ``buf[slots[p]]`` is the cached column
+        ``A[rows, rows[p]]`` and ``slots[p] < 0`` marks a non-resident
+        column.
         Cached columns whose id is not a member of ``rows`` (possible
         for generic callers) simply do not appear in the map.
 

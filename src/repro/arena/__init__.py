@@ -1,14 +1,14 @@
 """Quality arena: many detectors, many datasets, one set of rules.
 
 A clubmark-style evaluation subsystem for dominant-cluster detection:
-the :mod:`~repro.arena.registry` enumerates ALID (per ``lid_kernel``
-backend) and every baseline behind one ``Detector`` protocol, the
-:mod:`~repro.arena.runner` executes each (detector × dataset × seed)
-cell in a resource-limited subprocess, and :mod:`~repro.arena.quality`
-scores every detected cluster without ground truth — silhouette,
-conductance, coverage, and seed-perturbation stability — feeding both
-the arena leaderboard and the serving tier's per-cluster quality
-gauges (see :func:`~repro.arena.quality.annotate_snapshot`).
+the :mod:`~repro.arena.registry` enumerates ALID and every baseline
+behind one ``Detector`` protocol, the :mod:`~repro.arena.runner`
+executes each (detector × dataset × seed) cell in a resource-limited
+subprocess, and :mod:`~repro.arena.quality` scores every detected
+cluster without ground truth — silhouette, conductance, coverage, and
+seed-perturbation stability — feeding both the arena leaderboard and
+the serving tier's per-cluster quality gauges (see
+:func:`~repro.arena.quality.annotate_snapshot`).
 
 See ``docs/arena.md`` for the harness design and metric definitions.
 """

@@ -1,7 +1,7 @@
 """The arena's detector and dataset registries.
 
-One :class:`DetectorSpec` per runnable method configuration — ALID per
-``lid_kernel`` backend plus every :mod:`repro.baselines` entry — each a
+One :class:`DetectorSpec` per runnable method configuration — ALID
+plus every :mod:`repro.baselines` entry — each a
 deterministic factory ``build(seed, n_clusters_hint)`` returning an
 object satisfying the :class:`repro.baselines.common.Detector`
 protocol.  Factories mirror the CLI's ``repro detect`` construction
@@ -96,9 +96,9 @@ class DetectorSpec:
     Attributes
     ----------
     name:
-        Registry key and leaderboard column (e.g. ``"alid-fused"``).
+        Registry key and leaderboard column (e.g. ``"alid"``).
     family:
-        ``"alid"`` for the paper's method (any backend), ``"baseline"``
+        ``"alid"`` for the paper's method, ``"baseline"``
         for everything it is compared against.
     build:
         Deterministic factory ``build(seed, n_clusters_hint)``
@@ -110,34 +110,26 @@ class DetectorSpec:
     build: Callable[[int, int], Detector] = field(repr=False)
 
 
-def _alid_spec(name: str, backend: str, delta: int, density_threshold: float) -> DetectorSpec:
-    """ALID spec for one ``lid_kernel`` backend."""
-
-    def build(seed: int, n_clusters_hint: int) -> Detector:
-        return ALID(
-            ALIDConfig(
-                delta=delta,
-                density_threshold=density_threshold,
-                seed=seed,
-                lid_kernel=backend,
-            )
-        )
-
-    return DetectorSpec(name=name, family="alid", build=build)
-
-
 def default_registry(
     delta: int = 400, density_threshold: float = 0.75
 ) -> dict[str, DetectorSpec]:
     """Every detector the arena knows, keyed by registry name.
 
-    ALID appears once per ``lid_kernel`` backend (``reference`` and
-    ``fused``).  All baselines route their randomness through the seed
+    ALID and all baselines route their randomness through the seed
     handed to ``build``, so every cell is bit-reproducible.
     """
     specs = [
-        _alid_spec("alid-reference", "reference", delta, density_threshold),
-        _alid_spec("alid-fused", "fused", delta, density_threshold),
+        DetectorSpec(
+            "alid",
+            "alid",
+            lambda seed, hint: ALID(
+                ALIDConfig(
+                    delta=delta,
+                    density_threshold=density_threshold,
+                    seed=seed,
+                )
+            ),
+        ),
         DetectorSpec(
             "iid",
             "baseline",
@@ -205,10 +197,10 @@ def default_registry(
     return {spec.name: spec for spec in specs}
 
 
-#: The default arena matrix: ALID's fast deterministic backend against
-#: four baselines spanning the paper's comparison families (replicator
-#: dynamics, graph mode seeking, partitioning, density mode seeking).
-DEFAULT_DETECTORS = ("alid-fused", "iid", "ds", "km", "ms")
+#: The default arena matrix: ALID against four baselines spanning the
+#: paper's comparison families (replicator dynamics, graph mode
+#: seeking, partitioning, density mode seeking).
+DEFAULT_DETECTORS = ("alid", "iid", "ds", "km", "ms")
 
 
 def resolve_detectors(

@@ -89,7 +89,7 @@ Examples
     python -m repro verify nart_chain nart_snapshot
     python -m repro stats --snapshot nart_snapshot --queries nart.npz --workers 2
     python -m repro trace --snapshot nart_snapshot --queries nart.npz --out spans.jsonl
-    python -m repro arena --detectors alid-fused iid km --wall-limit 60
+    python -m repro arena --detectors alid iid km --wall-limit 60
     python -m repro quality --snapshot nart_snapshot --stability-refits 2
 """
 
@@ -230,9 +230,6 @@ def build_parser() -> argparse.ArgumentParser:
                           "(default: true count + 1)")
     det.add_argument("--out", default=None, help="save result .npz here")
     det.add_argument("--seed", type=int, default=0)
-    det.add_argument("--lid-kernel", default="fused",
-                     choices=("reference", "fused"),
-                     help="LID inner-loop backend (bit-identical)")
     det.add_argument("--profile", action="store_true",
                      help="run the fit under the phase profiler and "
                           "print per-phase wall/work keyed to the "
@@ -260,9 +257,6 @@ def build_parser() -> argparse.ArgumentParser:
     snap.add_argument("--delta", type=int, default=800)
     snap.add_argument("--density-threshold", type=float, default=0.75)
     snap.add_argument("--seed", type=int, default=0)
-    snap.add_argument("--lid-kernel", default="fused",
-                      choices=("reference", "fused"),
-                      help="LID inner-loop backend (bit-identical)")
 
     shard = sub.add_parser(
         "shard", help="split a snapshot into per-worker serving shards"
@@ -474,7 +468,6 @@ def _build_method(name: str, dataset: Dataset, args):
                 delta=args.delta,
                 density_threshold=args.density_threshold,
                 seed=args.seed,
-                lid_kernel=getattr(args, "lid_kernel", "fused"),
             )
         )
     if name == "palid":
@@ -483,7 +476,6 @@ def _build_method(name: str, dataset: Dataset, args):
                 delta=args.delta,
                 density_threshold=args.density_threshold,
                 seed=args.seed,
-                lid_kernel=getattr(args, "lid_kernel", "fused"),
             ),
             n_executors=getattr(args, "executors", 1),
         )
@@ -606,7 +598,6 @@ def _cmd_snapshot(args) -> int:
             delta=args.delta,
             density_threshold=args.density_threshold,
             seed=args.seed,
-            lid_kernel=getattr(args, "lid_kernel", "fused"),
         )
     )
     result = detector.fit(dataset.data)
@@ -956,8 +947,6 @@ def _cmd_ingest(args) -> int:
     )
     step = args.batch_size
     wal_path = out / "ingest.wal"
-    # Synchronous re-peel: the CLI is a batch tool, so the published
-    # chain must be deterministic for a given input and seed.
     if args.wal and wal_path.is_file():
         # A journal from a previous (possibly crashed) run: truncate
         # its torn tail, replay the committed prefix, continue.
@@ -971,9 +960,7 @@ def _cmd_ingest(args) -> int:
         )
     else:
         service = IngestService(
-            StreamingALID(config),
-            repeel="sync",
-            wal=wal_path if args.wal else None,
+            StreamingALID(config), wal=wal_path if args.wal else None
         )
     published = []
     with service:

@@ -48,7 +48,48 @@ from repro.obs import phases
 from repro.utils.timing import timed
 from repro.utils.validation import check_data_matrix
 
-__all__ = ["ALID", "ALIDEngine", "SeedSchedule"]
+__all__ = ["ALID", "ALIDEngine", "SeedSchedule", "calibrate"]
+
+
+def calibrate(
+    data: np.ndarray, config: ALIDConfig
+) -> tuple[LaplacianKernel, LSHIndex]:
+    """Kernel scale, LSH segment length and LSH index for *data*.
+
+    The one calibration rule of the fit and of a stream's first batch:
+    ``kernel_k = None`` picks the Laplacian scale with
+    :func:`~repro.affinity.kernel.suggest_scaling_factor`, ``lsh_r =
+    None`` picks ``lsh_r_scale`` times the distance whose affinity is
+    ``kernel_target_affinity``, and the index hashes every row of
+    *data* (refusing a row it cannot hash with ``ValidationError``).
+    """
+    k = config.kernel_k
+    if k is None:
+        k = suggest_scaling_factor(
+            data,
+            p=config.kernel_p,
+            target_affinity=config.kernel_target_affinity,
+            seed=config.seed,
+        )
+    kernel = LaplacianKernel(k=k, p=config.kernel_p)
+    lsh_r = config.lsh_r
+    if lsh_r is None:
+        # Segment length ~10x the intra-cluster distance scale: with
+        # 40 concatenated projections, pairs at the intra-cluster scale
+        # then collide in a given table with probability ~4%, i.e. ~85%
+        # recall over 50 tables, while background-noise pairs (many
+        # multiples of the scale away) almost never do.
+        lsh_r = config.lsh_r_scale * kernel.distance_from_affinity(
+            config.kernel_target_affinity
+        )
+    index = LSHIndex(
+        data,
+        r=float(lsh_r),
+        n_projections=config.lsh_projections,
+        n_tables=config.lsh_tables,
+        seed=config.seed,
+    )
+    return kernel, index
 
 
 @dataclass
@@ -133,12 +174,7 @@ class _SeedRun:
         self.c += 1
         self.outer = self.c
         # --- Step 1: LID on the current local range -----------------
-        lid_dynamics(
-            state,
-            max_iter=cfg.max_lid_iterations,
-            tol=cfg.tol,
-            kernel=cfg.lid_kernel,
-        )
+        lid_dynamics(state, max_iter=cfg.max_lid_iterations, tol=cfg.tol)
         state.restrict_to_support()
         density = state.density()
         if abs(density - self.last_density) > cfg.tol:
@@ -311,35 +347,10 @@ class ALIDEngine:
     ):
         self.config = config or ALIDConfig()
         data = check_data_matrix(data)
-        k = self.config.kernel_k
-        if k is None:
-            k = suggest_scaling_factor(
-                data,
-                p=self.config.kernel_p,
-                target_affinity=self.config.kernel_target_affinity,
-                seed=self.config.seed,
-            )
-        self.kernel = LaplacianKernel(k=k, p=self.config.kernel_p)
+        self.kernel, self.index = calibrate(data, self.config)
         self.oracle = AffinityOracle(data, self.kernel,
                                      budget_entries=budget_entries)
-        lsh_r = self.config.lsh_r
-        if lsh_r is None:
-            # Segment length ~10x the intra-cluster distance scale: with
-            # 40 concatenated projections, pairs at the intra-cluster
-            # scale then collide in a given table with probability ~4%,
-            # i.e. ~85% recall over 50 tables, while background-noise
-            # pairs (many multiples of the scale away) almost never do.
-            lsh_r = self.config.lsh_r_scale * self.kernel.distance_from_affinity(
-                self.config.kernel_target_affinity
-            )
-        self.lsh_r = float(lsh_r)
-        self.index = LSHIndex(
-            data,
-            r=self.lsh_r,
-            n_projections=self.config.lsh_projections,
-            n_tables=self.config.lsh_tables,
-            seed=self.config.seed,
-        )
+        self.lsh_r = self.index.r
 
     # ------------------------------------------------------------------
     @property

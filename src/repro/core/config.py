@@ -10,7 +10,7 @@ __all__ = ["ALIDConfig"]
 
 #: Retired fields that older persisted configs still carry; dropped by
 #: :meth:`ALIDConfig.from_dict`.
-_RETIRED_FIELDS = ("peel_driver", "seed_block_size")
+_RETIRED_FIELDS = ("peel_driver", "seed_block_size", "lid_kernel")
 
 
 @dataclass(frozen=True)
@@ -65,14 +65,6 @@ class ALIDConfig:
         c / rate))`` (paper Eq. 16 uses offset 4 and rate 2).
     min_cluster_size:
         Dominant clusters smaller than this are reported as noise.
-    lid_kernel:
-        Which inner-loop backend :func:`repro.dynamics.lid.lid_dynamics`
-        runs (see :mod:`repro.dynamics.lid_kernel`).  ``"fused"``
-        (default) executes consecutive LID periods in one run-until-miss
-        pass over the column cache's resident block; ``"reference"``
-        forces the historical per-period loop (the equivalence oracle).
-        Both backends produce bit-identical iterates, detections, and
-        work accounting.
     verify_global:
         If True, after ROI/CIVS convergence the detector performs an exact
         full scan for remaining infective vertices (only sensible for
@@ -98,7 +90,6 @@ class ALIDConfig:
     roi_growth_offset: float = 4.0
     roi_growth_rate: float = 2.0
     min_cluster_size: int = 2
-    lid_kernel: str = "fused"
     verify_global: bool = False
     seed: int = 0
     extras: dict = field(default_factory=dict, compare=False)
@@ -135,23 +126,18 @@ class ALIDConfig:
             raise ValidationError(
                 f"min_cluster_size must be >= 1, got {self.min_cluster_size}"
             )
-        if self.lid_kernel not in ("reference", "fused"):
-            raise ValidationError(
-                f"lid_kernel must be 'reference' or 'fused', "
-                f"got {self.lid_kernel!r}"
-            )
 
     @classmethod
     def from_dict(cls, fields: dict) -> "ALIDConfig":
         """Rebuild a config persisted as :func:`dataclasses.asdict`.
 
         Snapshot manifests and WAL ``begin`` records store the config
-        this way.  Older artifacts carry the retired ``peel_driver`` and
-        ``seed_block_size`` fields, which are dropped, and may name the
-        retired ``lid_kernel="numba"`` backend, which reads as
-        ``"fused"``: it ran ``"fused"`` wherever numba was missing and
-        was bit-identical to it elsewhere.  Any other unknown field
-        raises TypeError, as the constructor does.
+        this way.  Older artifacts carry the retired ``peel_driver``,
+        ``seed_block_size`` and ``lid_kernel`` fields, which are
+        dropped: every ``lid_kernel`` value (``"reference"``,
+        ``"fused"``, ``"numba"``) ran a loop bit-identical to the one
+        the fit runs now.  Any other unknown field raises TypeError, as
+        the constructor does.
         """
         if not isinstance(fields, dict):
             raise TypeError(
@@ -162,6 +148,4 @@ class ALIDConfig:
             for key, value in fields.items()
             if key not in _RETIRED_FIELDS
         }
-        if fields.get("lid_kernel") == "numba":
-            fields["lid_kernel"] = "fused"
         return cls(**fields)

@@ -13,11 +13,6 @@ over the simplex (paper Eq. 3).  This package provides three solvers:
 
 from repro.dynamics.iid import IIDResult, iid_dynamics, infectivity
 from repro.dynamics.lid import LIDState, lid_dynamics
-from repro.dynamics.lid_kernel import (
-    LID_KERNELS,
-    available_lid_kernels,
-    resolve_lid_kernel,
-)
 from repro.dynamics.replicator import ReplicatorResult, replicator_dynamics
 from repro.dynamics.simplex import (
     barycenter,
@@ -33,9 +28,6 @@ __all__ = [
     "infectivity",
     "LIDState",
     "lid_dynamics",
-    "LID_KERNELS",
-    "available_lid_kernels",
-    "resolve_lid_kernel",
     "ReplicatorResult",
     "replicator_dynamics",
     "barycenter",

@@ -17,9 +17,8 @@ matrix: it maintains
 
 Per iteration: O(|beta|) arithmetic plus at most one new column of kernel
 evaluations — exactly the paper's claimed cost.  The iteration loop
-itself runs on one of the interchangeable backends of
-:mod:`repro.dynamics.lid_kernel` (reference / fused run-until-miss),
-both bit-identical.
+itself is :func:`repro.dynamics.lid_kernel.run_fused` (run-until-miss
+over the cache's resident block).
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ import numpy as np
 
 from repro.affinity.cache import ColumnBlockCache
 from repro.affinity.oracle import AffinityOracle
-from repro.dynamics.lid_kernel import resolve_lid_kernel
+from repro.dynamics.lid_kernel import run_fused
 from repro.exceptions import ValidationError
 from repro.obs import phases
 from repro.utils.validation import check_index_array
@@ -234,7 +233,6 @@ def lid_dynamics(
     *,
     max_iter: int = 1000,
     tol: float = 1e-7,
-    kernel: str = "fused",
 ) -> tuple[int, bool]:
     """Run LID iterations (paper Alg. 1) on *state* in place.
 
@@ -242,25 +240,24 @@ def lid_dynamics(
     every vertex of the local range (``gamma_beta(x) = empty``, Theorem 1)
     up to *tol*, or until *max_iter* — the paper's constant ``T``.
 
-    The inner loop runs on one of the interchangeable backends of
-    :mod:`repro.dynamics.lid_kernel` — ``"reference"`` (the historical
-    per-period loop) or ``"fused"`` (run-until-miss single-pass NumPy
-    over the cache's resident block, the default).  Both backends
-    produce bit-identical iterates, iteration counts, work
-    accounting, and cache recency order; per period the only kernel work
-    is (at most) one column fetch through the LRU cache.
+    The periods run in :func:`~repro.dynamics.lid_kernel.run_fused`, a
+    run-until-miss pass over the cache's resident block that is
+    bit-identical to the historical per-period loop
+    (:func:`~repro.dynamics.lid_kernel.run_reference`) in iterates,
+    iteration counts, work accounting and cache recency order; per
+    period the only kernel work is (at most) one column fetch through
+    the LRU cache.
 
     Returns
     -------
     (iterations, converged)
     """
-    runner = resolve_lid_kernel(kernel)
     prof = phases.active()
     if prof is None:
-        return runner(state, max_iter, tol)
+        return run_fused(state, max_iter, tol)
     t0 = time.perf_counter()
     before = state.oracle.counters.entries_computed
-    iterations, converged = runner(state, max_iter, tol)
+    iterations, converged = run_fused(state, max_iter, tol)
     prof.record(
         "lid",
         wall=time.perf_counter() - t0,

@@ -1,39 +1,37 @@
-"""Interchangeable inner-loop kernels for the LID dynamics (paper Alg. 1).
+"""The LID period loop (paper Alg. 1) and its equivalence oracle.
 
-PR 1 made the per-iteration arithmetic O(|beta|), matching the paper's
-claimed cost — but each of the ~40k single-period iterations of a full
-detection still paid ~12 NumPy dispatches plus a Python-level LRU
-lookup, even though the selected column is almost always already
-resident in the :class:`~repro.affinity.cache.ColumnBlockCache`.  This
-module collapses that constant factor with a **run-until-miss** loop:
-consecutive LID periods execute against one
+Each LID period is O(|beta|) arithmetic, and the selected column is
+almost always already resident in the
+:class:`~repro.affinity.cache.ColumnBlockCache`.  The production loop is
+therefore **run-until-miss**: consecutive periods execute against one
 :meth:`~repro.affinity.cache.ColumnBlockCache.resident_view` of the
-cache's backing matrix, and the kernel only returns to the generic
-cache machinery when the selected vertex's column is a miss (one oracle
-fetch, then re-enter).
+cache's backing matrix and return to the generic cache machinery only
+when the selected vertex's column is a miss (one oracle fetch, then
+re-enter).
 
-Two backends are exposed through
-:class:`~repro.core.config.ALIDConfig.lid_kernel` and
-:func:`repro.dynamics.lid.lid_dynamics`:
+Two loops live here:
 
-``"reference"``
-    The historical loop, kept verbatim as the equivalence oracle.
-``"fused"``
-    Single-pass NumPy over the resident block (the default): bound-
-    method reductions, an incrementally maintained support-penalty
-    array instead of a per-iteration mask rebuild, stacked ``x``/``g``
+:func:`run_fused`
+    The production loop :func:`repro.dynamics.lid.lid_dynamics` runs:
+    single-pass NumPy over the resident block with bound-method
+    reductions, an incrementally maintained support-penalty array
+    instead of a per-iteration mask rebuild, stacked ``x``/``g``
     updates for shared scale factors, and LRU recency replayed in
     batches at run boundaries.
+:func:`run_reference`
+    The historical per-period loop, kept verbatim as the equivalence
+    oracle of the tests and the ``lid_kernel_*`` bench lane, and as the
+    fallback for degenerate starting points.
 
-Both backends produce bit-identical ``x`` and ``g`` trajectories,
-identical iteration counts, identical ``entries_computed``, and
-identical LRU recency order (pinned by
-``tests/test_dynamics_lid_kernel.py``), so detections and the Fig. 9
-eviction behaviour are backend-independent.  The fused backend
-requires a clean starting point (finite ``g``, non-negative
-``x`` without negative zeros — everything the ALID driver produces);
-anything else delegates to the reference loop, whose semantics on
-degenerate input are the contract.
+Both produce bit-identical ``x`` and ``g`` trajectories, identical
+iteration counts, identical ``entries_computed``, and identical LRU
+recency order (pinned by ``tests/test_dynamics_lid_kernel.py``), so
+detections and the Fig. 9 eviction behaviour are exactly those of the
+historical loop.  The fused loop requires a clean starting point
+(finite ``g``, non-negative ``x`` without negative zeros — everything
+the ALID driver produces); anything else delegates to
+:func:`run_reference`, whose semantics on degenerate input are the
+contract.
 """
 
 from __future__ import annotations
@@ -41,18 +39,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.dynamics.iid import invasion_share
-from repro.exceptions import ValidationError
 
-__all__ = [
-    "LID_KERNELS",
-    "available_lid_kernels",
-    "resolve_lid_kernel",
-    "run_fused",
-    "run_reference",
-]
-
-#: The recognised backend names, in documentation order.
-LID_KERNELS = ("reference", "fused")
+__all__ = ["run_fused", "run_reference"]
 
 _INF = np.inf
 
@@ -62,33 +50,15 @@ _INF = np.inf
 _REPLAY_FLUSH = 4096
 
 
-def available_lid_kernels() -> tuple[str, ...]:
-    """Return the recognised LID kernel backend names."""
-    return LID_KERNELS
-
-
-def resolve_lid_kernel(name: str):
-    """Map a backend name to its runner.
-
-    The runner has the signature
-    ``runner(state, max_iter, tol) -> (iterations, converged)``.
-    """
-    if name not in LID_KERNELS:
-        raise ValidationError(
-            f"lid_kernel must be one of {LID_KERNELS}, got {name!r}"
-        )
-    return _RUNNERS[name]
-
-
 # ----------------------------------------------------------------------
-# reference backend (the historical loop, equivalence oracle)
+# reference loop (the historical loop, equivalence oracle)
 # ----------------------------------------------------------------------
 def run_reference(state, max_iter: int, tol: float) -> tuple[int, bool]:
     """Run LID periods with the original per-iteration loop.
 
     One cache lookup (:meth:`LIDState.column`) and ~12 small NumPy ops
-    per period.  Kept verbatim as the oracle the fused backend is
-    pinned against.
+    per period.  Kept verbatim as the oracle :func:`run_fused` is
+    pinned against, and as its fallback for degenerate input.
     """
     x = state.x
     g = state.g
@@ -144,7 +114,7 @@ def run_reference(state, max_iter: int, tol: float) -> tuple[int, bool]:
 # shared run-until-miss machinery
 # ----------------------------------------------------------------------
 def _clean_start(x: np.ndarray, g: np.ndarray) -> bool:
-    """True when the fused backend's preconditions hold.
+    """True when the fused loop's preconditions hold.
 
     The fused loop skips the reference's per-iteration clamp
     (``maximum(x, 0)``) because the updates provably cannot produce a
@@ -163,7 +133,7 @@ def _clean_start(x: np.ndarray, g: np.ndarray) -> bool:
 
 
 class _RecencyReplay:
-    """Batched LRU-touch replay for the run-until-miss backend.
+    """Batched LRU-touch replay for the run-until-miss loop.
 
     The reference loop touches the selected column on every period; the
     fused loop must leave the cache's recency order in the identical
@@ -208,7 +178,7 @@ class _RecencyReplay:
 
 
 # ----------------------------------------------------------------------
-# fused backend (single-pass NumPy on the resident block)
+# fused loop (single-pass NumPy on the resident block)
 # ----------------------------------------------------------------------
 def run_fused(state, max_iter: int, tol: float) -> tuple[int, bool]:
     """Run LID periods as a run-until-miss loop over the resident block.
@@ -350,9 +320,3 @@ def run_fused(state, max_iter: int, tol: float) -> tuple[int, bool]:
         state.x = x.copy()
         state.g = g.copy()
     return it, converged
-
-
-_RUNNERS = {
-    "reference": run_reference,
-    "fused": run_fused,
-}

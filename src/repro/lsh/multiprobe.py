@@ -365,31 +365,6 @@ class MultiProbeQuerier:
         """
         return self.index.query_points(points, probe=self.probe_keys)
 
-    def query_points_grouped(self, points: np.ndarray) -> list[np.ndarray]:
-        """Run :meth:`query_point` for a batch of points in one fused pass.
-
-        The multi-probe twin of
-        :meth:`repro.lsh.index.LSHIndex.query_points_grouped`: every
-        point's own bucket *and* its ``n_probes`` perturbed buckets are
-        gathered per table, then candidates are deduplicated *per point*
-        with a single ``np.unique`` over ``point_id * n + item`` keys.
-        The extra probes recover borderline queries whose near
-        neighbours fell just across a segment boundary and therefore
-        miss the plain LSH shortlist.
-
-        Parameters
-        ----------
-        points:
-            Query block of shape ``(q, d)``.
-
-        Returns
-        -------
-        list of numpy.ndarray
-            ``out[i]`` is exactly ``self.query_point(points[i])``:
-            sorted, deduplicated, active-only.
-        """
-        return self.index.query_points_grouped(points, probe=self.probe_keys)
-
     def query_point(self, point: np.ndarray) -> np.ndarray:
         """Active items found in the probed buckets of every table."""
         point = np.asarray(point)

@@ -40,8 +40,8 @@ package is that separation made concrete for the reproduction:
   assignments byte-identical to the single-process path.
 * :mod:`repro.serve.ingest` — :class:`IngestService`, the live-corpus
   write path: absorb arriving batches into a
-  :class:`~repro.streaming.online.StreamingALID`, re-peel dirtied
-  collision regions in the background, and publish
+  :class:`~repro.streaming.online.StreamingALID`, re-peel the
+  collision regions absorption left dirty before returning, and publish
   :class:`SnapshotDelta` artifacts recording exactly what changed.
 * :mod:`repro.serve.client` — :func:`connect`, the unified entry point:
   one call returns a running service of either backend behind the

@@ -19,11 +19,12 @@ Lifecycle of one batch::
       |     re-convergence; everything else stays in the pool
       |-- dirty-mark: items absorption left behind dirty their whole
       |     LSH collision component (the reachability unit of a seeded
-      |     Alg. 2 run), queued for re-peeling
-      '-- background re-peel: a worker thread re-runs discovery over
-            the dirty regions only — new dominant clusters grow off the
-            ingest path, the way Shi et al.'s parallel correlation
-            clustering re-clusters affected subgraphs, not the graph
+      |     Alg. 2 run)
+      '-- re-peel: discovery re-runs over the dirty regions only, under
+            the same lock, before ingest() returns — new dominant
+            clusters grow where the batch landed, the way Shi et al.'s
+            parallel correlation clustering re-clusters affected
+            subgraphs, not the graph
 
     publish_base(dir)    a full DetectionSnapshot; the chain anchor
     publish_delta(dir)   appended rows + LSH insert state + replaced/
@@ -47,9 +48,11 @@ Durability
 With a :class:`~repro.serve.wal.WriteAheadLog` attached (``wal=``),
 every ingest batch and retirement is journaled **before** the stream
 mutates and every publish commits a marker **after** its artifact
-saved.  :meth:`IngestService.recover` rebuilds a crashed service by
-truncating the journal's torn tail and replaying the committed prefix
-through a fresh stream — byte-identical clusters, LSH state and
+saved.  Each batch is absorbed and re-peeled within one call, so the
+stream is a function of the journaled operations alone:
+:meth:`IngestService.recover` rebuilds a crashed service by truncating
+the journal's torn tail and replaying the committed prefix through a
+fresh stream — byte-identical clusters (labels included), LSH state and
 ``entries_computed`` accounting to a run that never crashed (pinned by
 ``tests/test_serve_durability.py``).
 """
@@ -81,9 +84,7 @@ from repro.streaming.online import StreamingALID
 from repro.utils.timing import timed
 from repro.utils.validation import check_index_array
 
-__all__ = ["IngestReport", "IngestService", "REPEEL_MODES"]
-
-REPEEL_MODES = ("background", "sync", "manual")
+__all__ = ["IngestReport", "IngestService"]
 
 
 @dataclasses.dataclass
@@ -102,24 +103,21 @@ class IngestReport:
         tolerance — absorption *failed* for them (the re-converged
         strategy ejected them), the strongest dirty signal.
     dirty_marked:
-        Pool items whose collision components were marked dirty by this
-        batch (the re-peel workload it queued).
-    pending:
-        Dirty items still awaiting a re-peel after this call (zero in
-        ``"sync"`` mode).
+        Pool items whose collision components this batch dirtied (the
+        region its re-peel covered).
     n_clusters:
-        Dominant clusters after the ingest step.
+        Dominant clusters after the re-peel.
     entries_computed:
-        Affinity entries the absorb + dirty classification cost.
+        Affinity entries the absorb + dirty classification cost (the
+        re-peel's own kernel work is not included).
     wall_seconds:
-        Wall-clock time of the synchronous part of the call.
+        Wall-clock time of the call.
     """
 
     n_points: int
     absorbed: int
     still_infective: int
     dirty_marked: int
-    pending: int
     n_clusters: int
     entries_computed: int
     wall_seconds: float
@@ -146,11 +144,9 @@ class IngestService:
         live corpus.  May be freshly constructed (the first batch
         bootstraps it) or already fitted.
     repeel:
-        ``"background"`` (default) re-peels dirty collision regions on
-        a worker thread, off the ingest path; ``"sync"`` re-peels
-        inside :meth:`ingest` before it returns (deterministic, used by
-        tests and the CLI); ``"manual"`` only queues — call
-        :meth:`repeel_now` yourself.
+        Only ``"sync"``, the default: :meth:`ingest` re-peels the
+        regions it dirtied before it returns.  Any other value raises
+        ValidationError.
     registry:
         Optional :class:`~repro.obs.metrics.MetricsRegistry` for the
         ingest counters; a private ``component="ingest"`` registry is
@@ -168,9 +164,8 @@ class IngestService:
         pre-populated stream would leave the journal blind to the
         state it is supposed to replay.
 
-    All stream access is serialized under one lock, so ingest, re-peel
-    and publishing never interleave mid-mutation; :meth:`flush` waits
-    for the background queue to drain before a deterministic publish.
+    All stream access is serialized under one lock, so ingest (with its
+    re-peel), retirement and publishing never interleave mid-mutation.
 
     Example
     -------
@@ -179,8 +174,7 @@ class IngestService:
     >>> from repro.streaming import StreamingALID
     >>> ds = make_synthetic_mixture(n=400, regime="bounded", bound=200,
     ...                             n_clusters=5, dim=20, seed=0)
-    >>> svc = IngestService(StreamingALID(ALIDConfig(delta=100, seed=0)),
-    ...                     repeel="sync")
+    >>> svc = IngestService(StreamingALID(ALIDConfig(delta=100, seed=0)))
     >>> report = svc.ingest(ds.data[:200])
     >>> report.n_points
     200
@@ -191,15 +185,13 @@ class IngestService:
         self,
         stream: StreamingALID,
         *,
-        repeel: str = "background",
+        repeel: str = "sync",
         registry: MetricsRegistry | None = None,
         tracer=None,
         wal: WriteAheadLog | str | pathlib.Path | None = None,
     ):
-        if repeel not in REPEEL_MODES:
-            raise ValidationError(
-                f"repeel must be one of {REPEEL_MODES}, got {repeel!r}"
-            )
+        if repeel != "sync":
+            raise ValidationError(f"repeel must be 'sync', got {repeel!r}")
         self._stream = stream
         self.metrics_registry = (
             MetricsRegistry(component="ingest")
@@ -236,11 +228,7 @@ class IngestService:
             "ingest_recoveries_total",
             "Crash recoveries replayed from the write-ahead log",
         )
-        self._repeel_mode = repeel
         self._lock = threading.Lock()
-        self._idle = threading.Condition(self._lock)
-        self._dirty: set[int] = set()
-        self._repeeling = False
         self._closed = False
         # Publishing bookkeeping: the delta chain tip and the state it
         # covers.  None until publish_base() anchors the chain.
@@ -259,19 +247,6 @@ class IngestService:
         self.recovery_info: dict | None = None
         if wal is not None:
             self._attach_wal(wal)
-        self._wake = threading.Event()
-        self._thread: threading.Thread | None = None
-        if repeel == "background":
-            self._start_repeel_thread()
-
-    def _start_repeel_thread(self) -> None:
-        """Spawn the background re-peel worker (mode switch helper)."""
-        self._thread = threading.Thread(
-            target=self._repeel_loop,
-            name="repro-ingest-repeel",
-            daemon=True,
-        )
-        self._thread.start()
 
     def _attach_wal(self, wal: WriteAheadLog | str | pathlib.Path) -> None:
         """Adopt an empty journal and write its ``begin`` record."""
@@ -309,22 +284,16 @@ class IngestService:
         """The underlying live stream (shared, lock before mutating)."""
         return self._stream
 
-    @property
-    def pending(self) -> int:
-        """Dirty items currently awaiting a re-peel."""
-        with self._lock:
-            return len(self._dirty)
-
     # ------------------------------------------------------------------
     def ingest(self, points: np.ndarray) -> IngestReport:
-        """Absorb one batch; mark failed absorptions' regions dirty.
+        """Absorb one batch, then re-peel the regions it left dirty.
 
-        The synchronous part runs only the absorb step
-        (``partial_fit(discover=False)``): arrivals that are infective
-        against an existing cluster join it through that cluster's LID
-        re-convergence.  Everything left unassigned dirties its whole
-        LSH collision component, and the dirty set is re-peeled
-        according to the service's ``repeel`` mode.
+        Arrivals that are infective against an existing cluster join it
+        through that cluster's LID re-convergence
+        (``partial_fit(discover=False)``).  Everything left unassigned
+        dirties its whole LSH collision component, and targeted
+        discovery re-peels exactly those components before the call
+        returns, under the lock the absorb held.
         """
         if self._closed:
             raise ValidationError("ingest service is closed")
@@ -344,7 +313,7 @@ class IngestService:
                 leftover = new[~stream.assigned_mask[new]]
                 absorbed = int(new.size - leftover.size)
                 still_infective = 0
-                dirty_marked = 0
+                dirty = leftover
                 if leftover.size:
                     # Absorption failed for these arrivals; classify how
                     # (near-miss noise vs ejected-though-infective) and
@@ -359,24 +328,18 @@ class IngestService:
                     hit = np.unique(components[leftover])
                     hit = hit[hit >= 0]
                     if hit.size:
-                        region = np.flatnonzero(
-                            np.isin(components, hit)
-                        )
-                    else:
-                        region = leftover
-                    fresh = set(int(i) for i in region) - self._dirty
-                    dirty_marked = len(fresh)
-                    self._dirty.update(fresh)
+                        dirty = np.flatnonzero(np.isin(components, hit))
                 after_entries = stream.result().counters.entries_computed
+                if dirty.size:
+                    before = stream.n_clusters
+                    stream.discover(dirty)
+                    self._m_repeel_runs.inc()
+                    self._m_repeel_discoveries.inc(
+                        stream.n_clusters - before
+                    )
                 self._m_ingested.inc(int(new.size))
                 self._m_absorbed.inc(absorbed)
                 n_clusters = stream.n_clusters
-            if self._repeel_mode == "sync":
-                self.repeel_now()
-                n_clusters = self._stream.n_clusters
-            elif self._repeel_mode == "background" and dirty_marked:
-                self._wake.set()
-            pending = self.pending
         if tracer is not None:
             self._ingest_seq += 1
             tracer.record(
@@ -387,14 +350,13 @@ class IngestService:
                 tid=TID_INGEST,
                 points=int(new.size),
                 absorbed=absorbed,
-                dirty_marked=dirty_marked,
+                dirty_marked=int(dirty.size),
             )
         return IngestReport(
             n_points=int(new.size),
             absorbed=absorbed,
             still_infective=still_infective,
-            dirty_marked=dirty_marked,
-            pending=pending,
+            dirty_marked=int(dirty.size),
             n_clusters=n_clusters,
             entries_computed=int(after_entries - before_entries),
             wall_seconds=clock[0],
@@ -438,53 +400,6 @@ class IngestService:
                 rows=int(canonical.size),
             )
         return result
-
-    # ------------------------------------------------------------------
-    # re-peeling
-    # ------------------------------------------------------------------
-    def repeel_now(self) -> int:
-        """Re-peel every currently dirty region; return clusters grown."""
-        with self._lock:
-            grown = self._repeel_locked()
-            self._idle.notify_all()
-        return grown
-
-    def _repeel_locked(self) -> int:
-        """Drain the dirty set through targeted discovery (lock held)."""
-        if not self._dirty:
-            return 0
-        dirty = np.fromiter(self._dirty, dtype=np.intp, count=len(self._dirty))
-        self._dirty.clear()
-        before = self._stream.n_clusters
-        self._repeeling = True
-        try:
-            self._stream.discover(np.sort(dirty))
-        finally:
-            self._repeeling = False
-        grown = self._stream.n_clusters - before
-        self._m_repeel_runs.inc()
-        self._m_repeel_discoveries.inc(grown)
-        return grown
-
-    def _repeel_loop(self) -> None:
-        while True:
-            self._wake.wait()
-            self._wake.clear()
-            if self._closed:
-                return
-            with self._lock:
-                self._repeel_locked()
-                self._idle.notify_all()
-
-    def flush(self, timeout: float | None = None) -> bool:
-        """Wait until no dirty work is queued or running; True on drain."""
-        if self._repeel_mode == "background":
-            self._wake.set()
-        with self._idle:
-            return self._idle.wait_for(
-                lambda: not self._dirty and not self._repeeling,
-                timeout=timeout,
-            )
 
     # ------------------------------------------------------------------
     # publishing
@@ -645,7 +560,6 @@ class IngestService:
         wal: WriteAheadLog | str | pathlib.Path,
         chain_dir: str | pathlib.Path | None = None,
         *,
-        repeel: str = "sync",
         registry: MetricsRegistry | None = None,
         tracer=None,
     ) -> "IngestService":
@@ -655,8 +569,8 @@ class IngestService:
         crash mid-append leaves), then replays the committed prefix —
         every ``ingest`` and ``retire`` record, in order, through a
         fresh stream built from the ``begin`` record's config.  Replay
-        runs synchronously, so a journal written by a ``"sync"``-mode
-        service recovers **byte-identical** clusters, LSH state and
+        runs the same calls the journaled run made, so recovery yields
+        **byte-identical** clusters (labels included), LSH state and
         ``entries_computed`` accounting to a run that never crashed.
 
         Publish markers restore the delta-chain bookkeeping; with
@@ -679,10 +593,6 @@ class IngestService:
             record the stream rejects, or a publish marker whose
             artifact is missing or has a different manifest SHA.
         """
-        if repeel not in REPEEL_MODES:
-            raise ValidationError(
-                f"repeel must be one of {REPEEL_MODES}, got {repeel!r}"
-            )
         if isinstance(wal, WriteAheadLog):
             wal.close()
             wal_path = wal.path
@@ -700,9 +610,7 @@ class IngestService:
             f"{wal_path}: begin record carries an invalid config", WALError
         ):
             config = ALIDConfig.from_dict(records[0].meta.get("config"))
-        service = cls(
-            StreamingALID(config), repeel="sync", registry=registry
-        )
+        service = cls(StreamingALID(config), registry=registry)
         service._m_recoveries.inc()
         publishes = 0
         service._replaying = True
@@ -734,10 +642,6 @@ class IngestService:
             "torn_bytes_truncated": int(torn),
             "publishes_restored": publishes,
         }
-        if repeel != "sync":
-            service._repeel_mode = repeel
-            if repeel == "background":
-                service._start_repeel_thread()
         return service
 
     def _restore_publish_marker(
@@ -791,7 +695,6 @@ class IngestService:
                 "ingested": self._m_ingested.value,
                 "absorbed": self._m_absorbed.value,
                 "retired": self._m_retired.value,
-                "pending": len(self._dirty),
                 "repeel_runs": self._m_repeel_runs.value,
                 "repeel_discoveries": self._m_repeel_discoveries.value,
                 "published_sequence": self._sequence,
@@ -802,13 +705,10 @@ class IngestService:
             }
 
     def close(self) -> None:
-        """Stop the re-peel thread, close the journal (idempotent)."""
+        """Refuse further ingests and close the journal (idempotent)."""
         if self._closed:
             return
         self._closed = True
-        self._wake.set()
-        if self._thread is not None:
-            self._thread.join(timeout=30.0)
         if self._wal is not None:
             self._wal.close()
 
@@ -817,5 +717,5 @@ class IngestService:
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        """Context-manager exit: stop the re-peel thread."""
+        """Context-manager exit: :meth:`close` the service."""
         self.close()

@@ -45,6 +45,15 @@ committed; :meth:`WriteAheadLog.truncate_torn_tail` drops the rest.
 Because the file is append-only, everything *before* the torn frame is
 untouched by the crash — the committed prefix replays exactly.
 
+A failed append is not a crash: the process lives on and keeps
+appending.  When writing, flushing or fsyncing a frame raises
+``OSError`` (a full disk, say), :meth:`WriteAheadLog.append` drops the
+handle's buffered bytes and cuts the file back to its last committed
+size before re-raising, so the next record lands directly after the
+last committed one and no acknowledged record ever sits behind a torn
+frame.  If that cut fails too, the journal refuses every later append
+with :class:`~repro.exceptions.WALError` until recovery truncates it.
+
 Fault injection
 ---------------
 ``fault_hook`` is the chaos seam: a callable consulted at the
@@ -295,6 +304,10 @@ class WriteAheadLog:
             self._path.write_bytes(WAL_MAGIC)
             self._n_records = 0
         self._handle = open(self._path, "ab")
+        # Size of the committed prefix, and why appending stopped if a
+        # failed append could not be cut back to it.
+        self._committed = self._path.stat().st_size
+        self._cut_failure: OSError | None = None
 
     # ------------------------------------------------------------------
     @property
@@ -315,28 +328,70 @@ class WriteAheadLog:
         The frame is written in one ``write`` call and fsynced before
         returning (unless constructed with ``fsync=False``), so a
         record whose ``append`` returned is committed: replay will see
-        it even if the process dies on the very next instruction.
+        it even if the process dies on the very next instruction.  An
+        append that raises ``OSError`` leaves the file at its last
+        committed size (see the module docstring).
+
+        Raises
+        ------
+        WALError
+            The journal is closed, or an earlier failed append could
+            not be cut back (recover the journal to append again).
         """
+        if self._cut_failure is not None:
+            raise WALError(
+                f"{self._path}: a failed append could not be cut back "
+                f"({self._cut_failure}); recover the journal before "
+                f"appending"
+            )
         if self._handle.closed:
             raise WALError(f"{self._path}: journal is closed")
         frame = _encode(kind, dict(meta or {}), dict(arrays or {}))
-        handled = False
-        if self._fault_hook is not None:
-            handled = bool(self._fault_hook("append", self._handle, frame))
-        if not handled:
-            self._handle.write(frame)
-        self._handle.flush()
-        if self._fsync:
-            skipped = False
+        try:
+            handled = False
             if self._fault_hook is not None:
-                skipped = bool(
-                    self._fault_hook("fsync", self._handle, None)
+                handled = bool(
+                    self._fault_hook("append", self._handle, frame)
                 )
-            if not skipped:
-                os.fsync(self._handle.fileno())
+            if not handled:
+                self._handle.write(frame)
+            self._handle.flush()
+            if self._fsync:
+                skipped = False
+                if self._fault_hook is not None:
+                    skipped = bool(
+                        self._fault_hook("fsync", self._handle, None)
+                    )
+                if not skipped:
+                    os.fsync(self._handle.fileno())
+        except OSError:
+            self._cut_back()
+            raise
+        self._committed += len(frame)
         index = self._n_records
         self._n_records += 1
         return index
+
+    def _cut_back(self) -> None:
+        """Cut a failed append's partial frame off the file.
+
+        Closing the handle drops its buffered bytes (the re-flush may
+        fail again; the file closes regardless).  The file is then
+        truncated to the committed size, fsynced and reopened for
+        append.  A failure here is remembered and refuses every later
+        append.
+        """
+        try:
+            self._handle.close()
+        except OSError:
+            pass
+        try:
+            with open(self._path, "r+b") as handle:
+                os.ftruncate(handle.fileno(), self._committed)
+                os.fsync(handle.fileno())
+            self._handle = open(self._path, "ab")
+        except OSError as exc:
+            self._cut_failure = exc
 
     def replay(self) -> list[WALRecord]:
         """Re-read every committed record (flushing pending appends)."""

@@ -32,9 +32,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.affinity.kernel import LaplacianKernel, suggest_scaling_factor
+from repro.affinity.kernel import LaplacianKernel
 from repro.affinity.oracle import AffinityCounters, AffinityOracle
-from repro.core.alid import ALIDEngine, SeedSchedule
+from repro.core.alid import ALIDEngine, SeedSchedule, calibrate
 from repro.core.config import ALIDConfig
 from repro.core.infectivity import infective_mask, item_payoffs
 from repro.core.results import Cluster, DetectionResult
@@ -169,9 +169,9 @@ class StreamingALID:
             When False, only the absorb step runs: arriving items join
             existing infective clusters, but no new clusters are grown.
             Items left unassigned stay in the pool for a later
-            :meth:`discover` call — the deferred-discovery mode the
-            ingest tier uses to re-peel dirty regions in the background
-            instead of on the ingest path.
+            :meth:`discover` call — the mode the ingest tier uses to
+            re-peel only the collision regions absorption left dirty
+            instead of seeding from every arrival.
         """
         batch = check_data_matrix(batch, name="batch")
         with timed() as clock:
@@ -350,12 +350,7 @@ class StreamingALID:
         oracle = engine.oracle
         g = oracle.block(members, members) @ weights
         state = LIDState(oracle, members.copy(), weights.copy(), g)
-        lid_dynamics(
-            state,
-            max_iter=cfg.max_lid_iterations,
-            tol=cfg.tol,
-            kernel=cfg.lid_kernel,
-        )
+        lid_dynamics(state, max_iter=cfg.max_lid_iterations, tol=cfg.tol)
         state.restrict_to_support()
         new_members = state.support_global(cfg.support_tol)
         positions = state.support_positions(cfg.support_tol)
@@ -395,28 +390,7 @@ class StreamingALID:
         ):
             return self._calibrated
         batch = batch.copy()
-        cfg = self.config
-        k = cfg.kernel_k
-        if k is None:
-            k = suggest_scaling_factor(
-                batch,
-                p=cfg.kernel_p,
-                target_affinity=cfg.kernel_target_affinity,
-                seed=cfg.seed,
-            )
-        kernel = LaplacianKernel(k=k, p=cfg.kernel_p)
-        lsh_r = cfg.lsh_r
-        if lsh_r is None:
-            lsh_r = cfg.lsh_r_scale * kernel.distance_from_affinity(
-                cfg.kernel_target_affinity
-            )
-        index = LSHIndex(
-            batch,
-            r=float(lsh_r),
-            n_projections=cfg.lsh_projections,
-            n_tables=cfg.lsh_tables,
-            seed=cfg.seed,
-        )
+        kernel, index = calibrate(batch, self.config)
         self._calibrated = (batch, kernel, index)
         return self._calibrated
 
@@ -480,12 +454,7 @@ class StreamingALID:
         x = np.concatenate([cluster.weights, np.zeros(joiners.size)])
         g = oracle.block(beta, cluster.members) @ cluster.weights
         state = LIDState(oracle, beta, x, g)
-        lid_dynamics(
-            state,
-            max_iter=cfg.max_lid_iterations,
-            tol=cfg.tol,
-            kernel=cfg.lid_kernel,
-        )
+        lid_dynamics(state, max_iter=cfg.max_lid_iterations, tol=cfg.tol)
         state.restrict_to_support()
         members = state.support_global(cfg.support_tol)
         positions = state.support_positions(cfg.support_tol)

@@ -56,7 +56,7 @@ def tiny():
 @pytest.fixture(scope="module")
 def ok_report(tiny):
     runner = ArenaRunner(limits=CellLimits(wall_seconds=120.0))
-    return runner.run([tiny], detectors=("alid-fused", "km"), seeds=(0,))
+    return runner.run([tiny], detectors=("alid", "km"), seeds=(0,))
 
 
 @pytest.fixture(scope="module")
@@ -140,12 +140,13 @@ def _stub_report(name, factory, *, tiny, limits, with_quality=False):
 # registry
 # ----------------------------------------------------------------------
 class TestRegistry:
-    def test_alid_runs_per_deterministic_backend(self):
+    def test_alid_has_one_row(self):
         registry = default_registry()
-        assert "alid-reference" in registry
-        assert "alid-fused" in registry
-        for name in ("alid-reference", "alid-fused"):
-            assert registry[name].family == "alid"
+        alid_rows = [
+            name for name, spec in registry.items() if spec.family == "alid"
+        ]
+        assert alid_rows == ["alid"]
+        assert isinstance(registry["alid"].build(0, 4), ALID)
 
     def test_every_baseline_is_registered(self):
         registry = default_registry()
@@ -162,7 +163,7 @@ class TestRegistry:
 
     def test_default_matrix_is_alid_plus_baselines(self):
         registry = default_registry()
-        assert "alid-fused" in DEFAULT_DETECTORS
+        assert "alid" in DEFAULT_DETECTORS
         non_alid = [
             name
             for name in DEFAULT_DETECTORS
@@ -173,9 +174,9 @@ class TestRegistry:
     def test_resolve_rejects_unknown_names(self):
         registry = default_registry()
         with pytest.raises(ValidationError, match="nope"):
-            resolve_detectors(registry, ["alid-fused", "nope"])
-        specs = resolve_detectors(registry, ["km", "alid-fused"])
-        assert [s.name for s in specs] == ["km", "alid-fused"]
+            resolve_detectors(registry, ["alid", "nope"])
+        specs = resolve_detectors(registry, ["km", "alid"])
+        assert [s.name for s in specs] == ["km", "alid"]
 
 
 # ----------------------------------------------------------------------
@@ -275,7 +276,7 @@ class TestRunner:
     def test_ok_cells_carry_the_full_record(self, ok_report, tiny):
         assert [c.status for c in ok_report.cells] == ["OK", "OK"]
         by_name = {c.detector: c for c in ok_report.cells}
-        alid, km = by_name["alid-fused"], by_name["km"]
+        alid, km = by_name["alid"], by_name["km"]
         assert alid.entries_computed > 0  # the oracle counts ALID
         assert km.entries_computed is None  # k-means never touches it
         for cell in (alid, km):
@@ -369,7 +370,7 @@ class TestRunner:
         assert "q_silhouette" in lines[1]
         assert "stability" not in lines[1]  # carried metrics only
         data_rows = lines[3:]
-        assert data_rows[0].startswith("alid-fused")
+        assert data_rows[0].startswith("alid")
         assert any(row.startswith("km") for row in data_rows)
 
     def test_limits_and_matrix_are_validated(self, tiny):

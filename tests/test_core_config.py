@@ -81,13 +81,14 @@ class TestFromDict:
         cfg = ALIDConfig(delta=200, seed=11)
         assert ALIDConfig.from_dict(legacy_config_dict(cfg)) == cfg
 
-    def test_numba_kernel_reads_as_fused(self):
+    @pytest.mark.parametrize("lid_kernel", ["reference", "fused", "numba"])
+    def test_persisted_lid_kernel_is_dropped(self, lid_kernel):
         cfg = ALIDConfig(seed=3)
-        legacy = legacy_config_dict(cfg, lid_kernel="numba")
+        legacy = legacy_config_dict(cfg, lid_kernel=lid_kernel)
         loaded = ALIDConfig.from_dict(legacy)
-        assert loaded.lid_kernel == "fused"
         assert loaded == cfg
-        assert legacy["lid_kernel"] == "numba"  # input left untouched
+        assert not hasattr(loaded, "lid_kernel")
+        assert legacy["lid_kernel"] == lid_kernel  # input left untouched
 
     def test_other_unknown_field_rejected(self):
         legacy = legacy_config_dict(ALIDConfig(), warp_factor=9)

@@ -1,10 +1,11 @@
-"""Equivalence matrix for the LID kernel backends (repro.dynamics.lid_kernel).
+"""Equivalence matrix for the LID loop (repro.dynamics.lid_kernel).
 
-Every backend must produce bit-identical ``x``/``g`` trajectories,
-iteration counts, ``entries_computed`` and LRU recency order — over
-random substrates, under eviction pressure (``budget_entries`` and
-``max_cached_columns``), and across mid-run ``extend`` /
-``restrict_to_support`` boundaries.
+``lid_dynamics`` (the production run-until-miss loop, ``run_fused``)
+must produce bit-identical ``x``/``g`` trajectories, iteration counts,
+``entries_computed`` and LRU recency order to the historical loop
+``run_reference`` — over random substrates, under eviction pressure
+(``budget_entries`` and ``max_cached_columns``), and across mid-run
+``extend`` / ``restrict_to_support`` boundaries.
 """
 
 import numpy as np
@@ -14,17 +15,23 @@ from repro.affinity.kernel import LaplacianKernel
 from repro.affinity.oracle import AffinityOracle
 from repro.core.alid import ALID
 from repro.core.config import ALIDConfig
+from repro.cli import main
 from repro.datasets.synthetic import make_synthetic_mixture
-from repro.dynamics import lid_kernel
+from repro.dynamics import lid, lid_kernel
 from repro.dynamics.lid import LIDState, lid_dynamics
-from repro.dynamics.lid_kernel import (
-    LID_KERNELS,
-    available_lid_kernels,
-    resolve_lid_kernel,
-)
-from repro.exceptions import BudgetExceededError, ValidationError
+from repro.dynamics.lid_kernel import run_fused, run_reference
+from repro.exceptions import BudgetExceededError
 
-NON_REFERENCE = [k for k in LID_KERNELS if k != "reference"]
+# The loop each equivalence test pins against run_reference: the one
+# lid_dynamics runs.  Parametrized so every test id names it.
+NON_REFERENCE = ["fused"]
+
+
+def _run(name, state, *, max_iter, tol):
+    """``"reference"`` runs the oracle loop; anything else lid_dynamics."""
+    if name == "reference":
+        return run_reference(state, max_iter, tol)
+    return lid_dynamics(state, max_iter=max_iter, tol=tol)
 
 
 def _substrate(seed, n=120, dim=8, scale=1.0):
@@ -72,31 +79,35 @@ def _assert_identical(reference, candidate, label):
     assert c_cols == r_cols, f"{label}: cached column set differs"
 
 
-class TestBackendRegistry:
-    def test_available_kernels(self):
-        assert available_lid_kernels() == ("reference", "fused")
+class TestRetiredKnob:
+    """The loop is no longer a choice: config and CLI refuse to name it."""
 
-    def test_unknown_kernel_rejected(self):
-        with pytest.raises(ValidationError):
-            resolve_lid_kernel("simd")
-        with pytest.raises(ValidationError):
-            resolve_lid_kernel("numba")
-        with pytest.raises(ValidationError):
-            resolve_lid_kernel("")
+    @pytest.mark.parametrize("name", ["reference", "fused", "numba"])
+    def test_config_refuses_lid_kernel(self, name):
+        with pytest.raises(TypeError):
+            ALIDConfig(lid_kernel=name)
 
-    def test_lid_dynamics_rejects_unknown_kernel(self):
+    @pytest.mark.parametrize("command", ["detect", "snapshot"])
+    def test_cli_refuses_lid_kernel(self, command, tmp_path):
+        argv = [command, "--input", str(tmp_path / "ds.npz")]
+        if command == "snapshot":
+            argv += ["--out", str(tmp_path / "snap")]
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--lid-kernel", "fused"])
+        assert exc.value.code == 2
+
+    def test_lid_dynamics_runs_the_fused_loop(self, monkeypatch):
+        calls = []
+
+        def spy(state, max_iter, tol):
+            calls.append((max_iter, tol))
+            return run_fused(state, max_iter, tol)
+
+        monkeypatch.setattr(lid, "run_fused", spy)
         data, rng = _substrate(0, n=20)
         oracle = AffinityOracle(data, LaplacianKernel(k=1.0, p=2.0))
-        state = _make_state(oracle, rng, 5)
-        with pytest.raises(ValidationError):
-            lid_dynamics(state, kernel="turbo")
-
-    def test_config_validates_lid_kernel(self):
-        for name in LID_KERNELS:
-            assert ALIDConfig(lid_kernel=name).lid_kernel == name
-        for name in ("vectorized", "numba"):
-            with pytest.raises(ValidationError):
-                ALIDConfig(lid_kernel=name)
+        lid_dynamics(_make_state(oracle, rng, 5), max_iter=7, tol=1e-9)
+        assert calls == [(7, 1e-9)]
 
 
 class TestEquivalenceMatrix:
@@ -109,7 +120,7 @@ class TestEquivalenceMatrix:
             rng = np.random.default_rng(seed + 1000)
             oracle = AffinityOracle(data, LaplacianKernel(k=1.0, p=2.0))
             state = _make_state(oracle, rng, 40, uniform=seed % 2 == 0)
-            out = lid_dynamics(state, max_iter=500, tol=1e-9, kernel=name)
+            out = _run(name, state, max_iter=500, tol=1e-9)
             runs[name] = _fingerprint(state, oracle, out)
             state.release()
         _assert_identical(runs["reference"], runs[kernel], kernel)
@@ -128,7 +139,7 @@ class TestEquivalenceMatrix:
                 data, LaplacianKernel(k=1.0, p=2.0), budget_entries=360
             )
             state = _make_state(oracle, rng, 30)
-            out = lid_dynamics(state, max_iter=800, tol=1e-10, kernel=name)
+            out = _run(name, state, max_iter=800, tol=1e-10)
             runs[name] = _fingerprint(state, oracle, out)
             state.release()
         _assert_identical(runs["reference"], runs[kernel], kernel)
@@ -151,7 +162,7 @@ class TestEquivalenceMatrix:
                 max_cached_columns=6,
             )
             state.g = state.recompute_g()
-            out = lid_dynamics(state, max_iter=600, tol=1e-10, kernel=name)
+            out = _run(name, state, max_iter=600, tol=1e-10)
             runs[name] = _fingerprint(state, oracle, out)
             state.release()
         _assert_identical(runs["reference"], runs[kernel], kernel)
@@ -168,7 +179,7 @@ class TestEquivalenceMatrix:
             outs = []
             for _round in range(4):
                 outs.append(
-                    lid_dynamics(state, max_iter=120, tol=1e-9, kernel=name)
+                    _run(name, state, max_iter=120, tol=1e-9)
                 )
                 state.restrict_to_support()
                 fresh = np.setdiff1d(
@@ -176,7 +187,7 @@ class TestEquivalenceMatrix:
                 )
                 state.extend(fresh.astype(np.intp))
             outs.append(
-                lid_dynamics(state, max_iter=400, tol=1e-9, kernel=name)
+                _run(name, state, max_iter=400, tol=1e-9)
             )
             runs[name] = _fingerprint(state, oracle, tuple(outs))
             state.release()
@@ -192,7 +203,7 @@ class TestEquivalenceMatrix:
             rng = np.random.default_rng(2)
             oracle = AffinityOracle(data, LaplacianKernel(k=1.0, p=2.0))
             state = _make_state(oracle, rng, 24)
-            out = lid_dynamics(state, max_iter=300, tol=1e-10, kernel=name)
+            out = _run(name, state, max_iter=300, tol=1e-10)
             runs[name] = _fingerprint(state, oracle, out)
             state.release()
         _assert_identical(runs["reference"], runs[kernel], kernel)
@@ -211,7 +222,7 @@ class TestEquivalenceMatrix:
             )
             state = _make_state(oracle, rng, 20)
             with pytest.raises(BudgetExceededError):
-                lid_dynamics(state, max_iter=200, tol=1e-10, kernel=name)
+                _run(name, state, max_iter=200, tol=1e-10)
             runs[name] = _fingerprint(state, oracle, None)
         _assert_identical(runs["reference"], runs[kernel], kernel)
 
@@ -230,7 +241,7 @@ class TestEquivalenceMatrix:
             x[3] = -1.0 / 9  # off-simplex start
             state = LIDState(oracle, beta, x, np.zeros(10))
             state.g = state.recompute_g()
-            out = lid_dynamics(state, max_iter=100, tol=1e-9, kernel=name)
+            out = _run(name, state, max_iter=100, tol=1e-9)
             runs[name] = _fingerprint(state, oracle, out)
             state.release()
         _assert_identical(runs["reference"], runs[kernel], kernel)
@@ -241,22 +252,23 @@ class TestEquivalenceMatrix:
         for name in ("reference", kernel):
             oracle = AffinityOracle(data, LaplacianKernel(k=1.0, p=2.0))
             state = LIDState.from_seed(oracle, 3)
-            out = lid_dynamics(state, max_iter=50, tol=1e-9, kernel=name)
+            out = _run(name, state, max_iter=50, tol=1e-9)
             assert out == (0, True)
             state.release()
 
 
 class TestDetectionEquivalence:
     @pytest.mark.parametrize("kernel", NON_REFERENCE)
-    def test_full_fit_identical_detections(self, kernel):
+    def test_full_fit_identical_detections(self, kernel, monkeypatch):
         dataset = make_synthetic_mixture(
             n=400, regime="bounded", bound=200, n_clusters=5, dim=12, seed=6
         )
         results = {}
         for name in ("reference", kernel):
-            results[name] = ALID(
-                ALIDConfig(seed=6, lid_kernel=name)
-            ).fit(dataset.data)
+            with monkeypatch.context() as patch:
+                if name == "reference":
+                    patch.setattr(lid, "run_fused", run_reference)
+                results[name] = ALID(ALIDConfig(seed=6)).fit(dataset.data)
         ref, cand = results["reference"], results[kernel]
         assert (
             cand.counters.entries_computed == ref.counters.entries_computed
@@ -274,16 +286,19 @@ class TestDetectionEquivalence:
             assert a.seed == b.seed
 
     @pytest.mark.parametrize("kernel", NON_REFERENCE)
-    def test_budgeted_fit_identical(self, kernel):
+    def test_budgeted_fit_identical(self, kernel, monkeypatch):
         """Fig. 9 regime: eviction-coupled detection stays backend-free."""
         dataset = make_synthetic_mixture(
             n=250, regime="bounded", bound=125, n_clusters=4, dim=8, seed=9
         )
         results = {}
         for name in ("reference", kernel):
-            results[name] = ALID(
-                ALIDConfig(seed=9, lid_kernel=name)
-            ).fit(dataset.data, budget_entries=4000)
+            with monkeypatch.context() as patch:
+                if name == "reference":
+                    patch.setattr(lid, "run_fused", run_reference)
+                results[name] = ALID(ALIDConfig(seed=9)).fit(
+                    dataset.data, budget_entries=4000
+                )
         ref, cand = results["reference"], results[kernel]
         assert (
             cand.counters.entries_computed == ref.counters.entries_computed

@@ -160,7 +160,7 @@ class TestMultiProbeQuerier:
 
 
 class TestQueryPointsGrouped:
-    """The fused per-query form behind serve-time shortlist="multiprobe"."""
+    """``LSHIndex.query_points_grouped`` with the querier's probe keys."""
 
     def test_matches_per_point_loop(self, small_index):
         data, index = small_index
@@ -168,7 +168,7 @@ class TestQueryPointsGrouped:
         querier = MultiProbeQuerier(index, n_probes=5)
         points = data[rng.choice(data.shape[0], size=12, replace=False)]
         points = points + rng.normal(scale=0.3, size=points.shape)
-        grouped = querier.query_points_grouped(points)
+        grouped = index.query_points_grouped(points, probe=querier.probe_keys)
         assert len(grouped) == 12
         for i in range(12):
             np.testing.assert_array_equal(
@@ -180,7 +180,9 @@ class TestQueryPointsGrouped:
         index.deactivate(np.arange(0, 25))
         try:
             querier = MultiProbeQuerier(index, n_probes=4)
-            grouped = querier.query_points_grouped(data[:6])
+            grouped = index.query_points_grouped(
+                data[:6], probe=querier.probe_keys
+            )
             for candidates in grouped:
                 assert candidates.size == 0 or candidates.min() >= 25
                 np.testing.assert_array_equal(
@@ -193,22 +195,22 @@ class TestQueryPointsGrouped:
         data, index = small_index
         points = data[::40] + 0.1
         plain = index.query_points_grouped(points)
-        probed = MultiProbeQuerier(index, n_probes=0).query_points_grouped(
-            points
+        probed = index.query_points_grouped(
+            points, probe=MultiProbeQuerier(index, n_probes=0).probe_keys
         )
         for a, b in zip(plain, probed):
             np.testing.assert_array_equal(a, b)
 
     def test_empty_batch(self, small_index):
         _, index = small_index
-        assert MultiProbeQuerier(index).query_points_grouped(
-            np.empty((0, 6))
-        ) == []
+        probe = MultiProbeQuerier(index).probe_keys
+        assert index.query_points_grouped(np.empty((0, 6)), probe=probe) == []
 
     def test_dim_mismatch_raises(self, small_index):
         _, index = small_index
+        probe = MultiProbeQuerier(index).probe_keys
         with pytest.raises(ValidationError):
-            MultiProbeQuerier(index).query_points_grouped(np.zeros((2, 3)))
+            index.query_points_grouped(np.zeros((2, 3)), probe=probe)
 
 
 class TestVectorizedEnumeration:

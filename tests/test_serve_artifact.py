@@ -173,7 +173,6 @@ class TestPathEscapes:
         chain = tmp_path / "chain"
         service = IngestService(
             StreamingALID(ALIDConfig(delta=50, seed=0)),
-            repeel="sync",
             wal=WriteAheadLog(chain / "ingest.wal"),
         )
         service.ingest(dataset.data)

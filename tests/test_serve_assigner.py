@@ -271,9 +271,12 @@ def _item_path_pairs(assigner, queries, shortlist):
     Every colliding item is gathered per query and mapped to its owning
     cluster row through ``_item_owner``.
     """
-    source = assigner.multiprobe if shortlist == "multiprobe" else assigner.index
+    probe = (
+        assigner.multiprobe.probe_keys if shortlist == "multiprobe" else None
+    )
     pairs = set()
-    for qid, items in enumerate(source.query_points_grouped(queries)):
+    grouped = assigner.index.query_points_grouped(queries, probe=probe)
+    for qid, items in enumerate(grouped):
         rows = assigner._item_owner[items]
         pairs.update((qid, int(row)) for row in rows[rows >= 0])
     return sorted(pairs)

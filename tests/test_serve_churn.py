@@ -87,7 +87,7 @@ def churned(tmp_path_factory):
         ]
     )
     root = tmp_path_factory.mktemp("churn")
-    service = IngestService(StreamingALID(_stream_config()), repeel="sync")
+    service = IngestService(StreamingALID(_stream_config()))
 
     seed_batch = np.vstack(
         [_blob(rng, c, per=18) for c in centers]

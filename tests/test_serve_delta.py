@@ -66,10 +66,10 @@ def chain(tmp_path_factory):
     first = np.setdiff1d(np.arange(data.shape[0]), held_back)
 
     root = tmp_path_factory.mktemp("chain")
-    # closing() guard: the worker-backed service must be torn down even
-    # when one of the sanity asserts below fails before the yield.
+    # closing() guard: the service's journal handle is closed even when
+    # one of the sanity asserts below fails before the yield.
     with contextlib.closing(
-        IngestService(StreamingALID(_stream_config()), repeel="sync")
+        IngestService(StreamingALID(_stream_config()))
     ) as service:
         yield from _build_chain(service, root, data, first, held_back, fifth)
 
@@ -452,56 +452,32 @@ class TestConnect:
 
 class TestIngestService:
     def test_rejects_unknown_repeel_mode(self):
-        with pytest.raises(ValidationError, match="repeel"):
-            IngestService(StreamingALID(_stream_config()), repeel="nope")
+        for mode in ("nope", "background", "manual"):
+            with pytest.raises(ValidationError, match="repeel"):
+                IngestService(StreamingALID(_stream_config()), repeel=mode)
+        IngestService(StreamingALID(_stream_config()), repeel="sync").close()
 
     def test_report_counts(self, rng):
         data, _ = _blobs(rng, np.full((2, 8), [[0.0], [10.0]]))
-        service = IngestService(
-            StreamingALID(_stream_config()), repeel="sync"
-        )
+        service = IngestService(StreamingALID(_stream_config()))
         report = service.ingest(data)
         assert report.n_points == data.shape[0]
         assert report.absorbed == 0  # nothing to absorb into yet
         assert report.dirty_marked == data.shape[0]
-        assert report.pending == 0  # sync mode drains before returning
-        assert report.n_clusters == 2
+        assert report.n_clusters == 2  # re-peeled before returning
         assert report.wall_seconds >= 0.0
         service.close()
 
-    def test_background_repeel_drains_on_flush(self, rng):
-        data, _ = _blobs(rng, np.full((2, 8), [[0.0], [10.0]]))
-        with IngestService(StreamingALID(_stream_config())) as service:
-            service.ingest(data)
-            assert service.flush(timeout=30.0)
-            assert service.pending == 0
-            assert service.stream.n_clusters == 2
-
-    def test_manual_repeel(self, rng):
-        data, _ = _blobs(rng, np.full((2, 8), [[0.0], [10.0]]))
-        with IngestService(
-            StreamingALID(_stream_config()), repeel="manual"
-        ) as service:
-            service.ingest(data)
-            assert service.pending > 0
-            assert service.stream.n_clusters == 0
-            grown = service.repeel_now()
-            assert grown == 2 and service.pending == 0
-
     def test_publish_delta_requires_base(self, rng):
         data, _ = _blobs(rng, np.full((1, 8), [[0.0]]))
-        with IngestService(
-            StreamingALID(_stream_config()), repeel="sync"
-        ) as service:
+        with IngestService(StreamingALID(_stream_config())) as service:
             service.ingest(data)
             with pytest.raises(ValidationError, match="publish_base"):
                 service.publish_delta("unused")
 
     def test_idle_delta_is_empty(self, rng, tmp_path):
         data, _ = _blobs(rng, np.full((2, 8), [[0.0], [10.0]]))
-        with IngestService(
-            StreamingALID(_stream_config()), repeel="sync"
-        ) as service:
+        with IngestService(StreamingALID(_stream_config())) as service:
             service.ingest(data)
             service.publish_base(tmp_path / "base")
             delta = service.publish_delta(tmp_path / "idle")
@@ -513,9 +489,7 @@ class TestIngestService:
 
     def test_stats_and_closed_ingest(self, rng, tmp_path):
         data, _ = _blobs(rng, np.full((2, 8), [[0.0], [10.0]]))
-        service = IngestService(
-            StreamingALID(_stream_config()), repeel="sync"
-        )
+        service = IngestService(StreamingALID(_stream_config()))
         service.ingest(data)
         service.publish_base(tmp_path / "base")
         stats = service.stats()

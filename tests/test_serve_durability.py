@@ -17,10 +17,11 @@ injected faults rather than assumed from clean shutdowns:
 * ``verify_*`` audits catch tampering with a one-line diagnosis.
 
 Everything is deterministic: :class:`repro.testing.FaultInjector`
-fires on explicit operation counts, and all services run
-``repeel="sync"``.
+fires on explicit operation counts, and every ingest re-peels its dirty
+regions before it returns.
 """
 
+import errno
 import json
 import shutil
 import zlib
@@ -49,6 +50,7 @@ from repro.serve import (
     verify_snapshot,
     verify_wal,
 )
+from repro.serve import wal as wal_module
 from repro.serve.snapshot import MANIFEST_NAME
 from repro.serve.wal import WAL_MAGIC, _LEN
 from repro.streaming import StreamingALID
@@ -80,6 +82,22 @@ def batches():
     }
 
 
+def _ops(batches, root):
+    """The canonical op schedule as ``(record kind, op)`` pairs.
+
+    Each op journals exactly one WAL record of the named kind.
+    """
+    return [
+        ("ingest", lambda s: s.ingest(batches["b1"])),
+        ("publish_base", lambda s: s.publish_base(root / "base")),
+        ("ingest", lambda s: s.ingest(batches["b2"])),
+        ("publish_delta", lambda s: s.publish_delta(root / "delta_0000")),
+        ("retire", lambda s: s.retire(batches["retire"])),
+        ("ingest", lambda s: s.ingest(batches["b3"])),
+        ("publish_delta", lambda s: s.publish_delta(root / "delta_0001")),
+    ]
+
+
 def _scripted_run(batches, root, *, wal=None, upto=None):
     """Run the canonical op schedule; return the (closed) service.
 
@@ -88,24 +106,13 @@ def _scripted_run(batches, root, *, wal=None, upto=None):
     crash-sweep relies on.  ``upto`` executes only the first N ops
     (the committed prefix a crash at record N + 1 leaves behind).
     """
-    service = IngestService(
-        StreamingALID(_config()), repeel="sync", wal=wal
-    )
-    ops = [
-        lambda s: s.ingest(batches["b1"]),
-        lambda s: s.publish_base(root / "base"),
-        lambda s: s.ingest(batches["b2"]),
-        lambda s: s.publish_delta(root / "delta_0000"),
-        lambda s: s.retire(batches["retire"]),
-        lambda s: s.ingest(batches["b3"]),
-        lambda s: s.publish_delta(root / "delta_0001"),
-    ]
-    for op in ops[: len(ops) if upto is None else upto]:
+    service = IngestService(StreamingALID(_config()), wal=wal)
+    for _, op in _ops(batches, root)[:upto]:
         op(service)
     return service
 
 
-_N_OPS = 7  # keep in sync with _scripted_run's schedule
+_N_OPS = 7  # keep in sync with the schedule in _ops
 
 
 def _assert_streams_identical(got: StreamingALID, want: StreamingALID):
@@ -269,6 +276,42 @@ class TestWALFile:
         with pytest.raises(WALError, match="record 1"):
             read_records(path)
 
+    def test_failed_append_is_cut_back(self, tmp_path):
+        path = tmp_path / "j.wal"
+        with WriteAheadLog(
+            path, fault_hook=FaultInjector(enospc_at_record=1)
+        ) as wal:
+            wal.append("begin")
+            committed = path.stat().st_size
+            with pytest.raises(OSError, match="ENOSPC|injected"):
+                wal.append("ingest", arrays={"points": np.ones((50, 4))})
+            assert path.stat().st_size == committed
+            assert wal.append("retire", arrays={"indices": np.arange(2)}) == 1
+        records, committed, total = read_records(path)
+        assert [r.kind for r in records] == ["begin", "retire"]
+        assert committed == total
+
+    def test_failed_cut_refuses_later_appends(self, tmp_path, monkeypatch):
+        path = tmp_path / "j.wal"
+        wal = WriteAheadLog(
+            path, fault_hook=FaultInjector(enospc_at_record=1)
+        )
+        wal.append("begin")
+
+        def no_truncate(fd, length):
+            raise OSError(errno.EIO, "injected truncate failure")
+
+        monkeypatch.setattr(wal_module.os, "ftruncate", no_truncate)
+        with pytest.raises(OSError, match="ENOSPC|injected"):
+            wal.append("ingest", arrays={"points": np.ones((50, 4))})
+        with pytest.raises(WALError, match="recover"):
+            wal.append("retire", arrays={"indices": np.arange(2)})
+        monkeypatch.undo()
+        wal.close()
+        assert WriteAheadLog.truncate_torn_tail(path) > 0
+        with WriteAheadLog(path) as reopened:
+            assert reopened.n_records == 1
+
     def test_append_to_closed_journal(self, tmp_path):
         wal = WriteAheadLog(tmp_path / "j.wal")
         wal.close()
@@ -413,9 +456,104 @@ class TestCrashRecovery:
         service = IngestService.recover(root / "ingest.wal", root)
         try:
             assert service.recovery_info["records_replayed"] == 2
-            assert service.recovery_info["torn_bytes_truncated"] > 0
+            # The failed append cut its partial frame off: nothing torn.
+            assert service.recovery_info["torn_bytes_truncated"] == 0
         finally:
             service.close()
+
+    def test_failed_append_hides_no_later_record(self, batches, tmp_path):
+        """Records acknowledged after a failed append all replay."""
+        wal = WriteAheadLog(
+            tmp_path / "j.wal", fault_hook=FaultInjector(enospc_at_record=2)
+        )
+        live = IngestService(StreamingALID(_config()), wal=wal)
+        try:
+            live.ingest(batches["b1"][:100])
+            with pytest.raises(OSError, match="ENOSPC|injected"):
+                live.ingest(batches["b2"])
+            live.ingest(batches["b3"])
+            assert live.stream.n_items == 200
+        finally:
+            live.close()
+        service = IngestService.recover(tmp_path / "j.wal")
+        try:
+            assert service.recovery_info["torn_bytes_truncated"] == 0
+            assert service.recovery_info["records_replayed"] == 3
+            _assert_streams_identical(service.stream, live.stream)
+        finally:
+            service.close()
+
+    @pytest.mark.parametrize("record", range(1, _N_OPS + 1))
+    def test_enospc_at_every_record_then_continue(
+        self, batches, tmp_path, record
+    ):
+        """ENOSPC fails one op; the run goes on and recovers exactly.
+
+        A failed ingest or retire changed nothing (its record is written
+        ahead of the mutation), so it is retried; a failed publish saved
+        its artifact and only lost its marker, so the run moves on.
+        """
+        root = tmp_path / "chain"
+        injector = FaultInjector(enospc_at_record=record)
+        live = IngestService(
+            StreamingALID(_config()),
+            wal=WriteAheadLog(root / "ingest.wal", fault_hook=injector),
+        )
+        failed = []
+        try:
+            for kind, op in _ops(batches, root):
+                try:
+                    op(live)
+                except OSError:
+                    failed.append(kind)
+                    if kind in ("ingest", "retire"):
+                        op(live)
+        finally:
+            live.close()
+        assert len(failed) == 1
+        records, committed, total = read_records(root / "ingest.wal")
+        assert committed == total
+        assert len(records) == _N_OPS + (failed[0] in ("ingest", "retire"))
+        ref = _scripted_run(batches, tmp_path / "ref")
+        service = IngestService.recover(root / "ingest.wal", root)
+        try:
+            assert service.recovery_info["torn_bytes_truncated"] == 0
+            _assert_streams_identical(service.stream, live.stream)
+            _assert_streams_identical(live.stream, ref.stream)
+        finally:
+            ref.close()
+            service.close()
+
+    def test_default_service_recovers_what_it_served(
+        self, batches, tmp_path
+    ):
+        """A default-constructed service replays to the labels it served.
+
+        The chain continued after recovery then serves exactly what the
+        recovered stream's own snapshot serves.
+        """
+        root = tmp_path / "chain"
+        data = np.concatenate([batches["b1"], batches["b2"], batches["b3"]])
+        live = IngestService(StreamingALID(_config()), wal=root / "ingest.wal")
+        try:
+            for lo in range(0, data.shape[0], 40):
+                live.ingest(data[lo:lo + 40])
+            live.publish_base(root / "base")
+        finally:
+            live.close()
+        service = IngestService.recover(root / "ingest.wal", root)
+        try:
+            _assert_streams_identical(service.stream, live.stream)
+            service.ingest(batches["queries"][:40])
+            service.publish_delta(root / "delta_0000")
+            want = ClusterService(service.stream.to_snapshot()).assign(
+                batches["queries"]
+            )
+        finally:
+            service.close()
+        got = ClusterService(load_chain_tip(root)).assign(batches["queries"])
+        assert np.array_equal(got.labels, want.labels)
+        assert np.array_equal(got.scores, want.scores)
 
     def test_dropped_fsyncs_do_not_break_process_crash_recovery(
         self, batches, tmp_path
@@ -445,9 +583,7 @@ class TestCrashRecovery:
             fault_hook=FaultInjector(kill_at_record=0),
         )
         with pytest.raises(InjectedFault):
-            IngestService(
-                StreamingALID(_config()), repeel="sync", wal=wal
-            )
+            IngestService(StreamingALID(_config()), wal=wal)
         with pytest.raises(WALError, match="begin"):
             IngestService.recover(tmp_path / "j.wal")
 
@@ -470,30 +606,33 @@ class TestLegacyBeginRecord:
         return root / "legacy.wal"
 
     def test_recovers_identical_to_a_clean_run(self, batches, tmp_path):
-        root = tmp_path / "chain"
-        legacy = self._legacy_journal(
-            batches,
-            root,
-            peel_driver="batched",
-            seed_block_size=256,
-            lid_kernel="numba",
-        )
-        service = IngestService.recover(legacy, root)
         ref = _scripted_run(batches, tmp_path / "ref")
         try:
-            assert service.stream.config == ref.stream.config
-            _assert_streams_identical(service.stream, ref.stream)
             want = ClusterService(ref.stream.to_snapshot()).assign(
                 batches["queries"]
             )
-            got = ClusterService(service.stream.to_snapshot()).assign(
-                batches["queries"]
-            )
-            assert np.array_equal(got.labels, want.labels)
-            assert np.array_equal(got.scores, want.scores)
+            for lid_kernel in ("reference", "fused", "numba"):
+                root = tmp_path / lid_kernel
+                legacy = self._legacy_journal(
+                    batches,
+                    root,
+                    peel_driver="batched",
+                    seed_block_size=256,
+                    lid_kernel=lid_kernel,
+                )
+                service = IngestService.recover(legacy, root)
+                try:
+                    assert service.stream.config == ref.stream.config
+                    _assert_streams_identical(service.stream, ref.stream)
+                    got = ClusterService(
+                        service.stream.to_snapshot()
+                    ).assign(batches["queries"])
+                finally:
+                    service.close()
+                assert np.array_equal(got.labels, want.labels), lid_kernel
+                assert np.array_equal(got.scores, want.scores), lid_kernel
         finally:
             ref.close()
-            service.close()
 
     def test_other_unknown_field_is_typed_error(self, batches, tmp_path):
         root = tmp_path / "chain"
@@ -510,9 +649,7 @@ class TestPublishCrash:
     ):
         root = tmp_path / "chain"
         service = IngestService(
-            StreamingALID(_config()),
-            repeel="sync",
-            wal=WriteAheadLog(root / "ingest.wal"),
+            StreamingALID(_config()), wal=WriteAheadLog(root / "ingest.wal")
         )
         service.ingest(batches["b1"])
         with pytest.raises(InjectedFault):
@@ -566,17 +703,13 @@ class TestRecoverValidation:
         )
         clean.close()
         with pytest.raises(ValidationError, match="recover"):
-            IngestService(
-                StreamingALID(_config()), repeel="sync", wal=path
-            )
+            IngestService(StreamingALID(_config()), wal=path)
 
     def test_fresh_journal_needs_empty_stream(self, batches, tmp_path):
         stream = StreamingALID(_config())
         stream.partial_fit(batches["b1"])
         with pytest.raises(ValidationError, match="already"):
-            IngestService(
-                stream, repeel="sync", wal=tmp_path / "j.wal"
-            )
+            IngestService(stream, wal=tmp_path / "j.wal")
 
     def test_marker_artifact_vanished(self, batches, tmp_path):
         root = tmp_path / "chain"
@@ -613,9 +746,7 @@ class TestRecoverValidation:
         every later recovery would then fail replaying it.
         """
         path = tmp_path / "j.wal"
-        service = IngestService(
-            StreamingALID(_config()), repeel="sync", wal=path
-        )
+        service = IngestService(StreamingALID(_config()), wal=path)
         service.ingest(batches["b1"])
         records = service.stats()["wal_records"]
         bad = batches["b2"].copy()
@@ -643,9 +774,7 @@ class TestRecoverValidation:
         written, so the journal holds only ``begin`` and recovers.
         """
         path = tmp_path / "j.wal"
-        service = IngestService(
-            StreamingALID(_config()), repeel="sync", wal=path
-        )
+        service = IngestService(StreamingALID(_config()), wal=path)
         bad = batches["b1"].copy()
         bad[7] = 1e300
         try:
@@ -670,10 +799,8 @@ class TestRecoverValidation:
         wal = WriteAheadLog(
             tmp_path / "j.wal", fault_hook=FaultInjector(enospc_at_record=1)
         )
-        service = IngestService(
-            StreamingALID(_config()), repeel="sync", wal=wal
-        )
-        clean = IngestService(StreamingALID(_config()), repeel="sync")
+        service = IngestService(StreamingALID(_config()), wal=wal)
+        clean = IngestService(StreamingALID(_config()))
         try:
             with pytest.raises(OSError, match="ENOSPC|injected"):
                 service.ingest(batches["b1"])
@@ -695,9 +822,7 @@ class TestRecoverValidation:
     ):
         """A row mask passed to retire is refused, not read as rows 0/1."""
         path = tmp_path / "j.wal"
-        service = IngestService(
-            StreamingALID(_config()), repeel="sync", wal=path
-        )
+        service = IngestService(StreamingALID(_config()), wal=path)
         try:
             service.ingest(batches["b1"])
             mask = np.zeros(service._stream.n_items, dtype=bool)

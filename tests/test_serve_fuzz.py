@@ -97,7 +97,6 @@ def artifacts(corpus, tmp_path_factory):
                 seed=0,
             )
         ),
-        repeel="sync",
         wal=WriteAheadLog(chain / "ingest.wal"),
     )
     service.ingest(corpus.data[:100])

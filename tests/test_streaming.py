@@ -175,7 +175,7 @@ class TestStreamingALID:
         self, blob_data, stream_config, monkeypatch
     ):
         """The check builds the first batch's index; the fit adopts it."""
-        import repro.streaming.online as online
+        import repro.core.alid as alid
 
         data, _ = blob_data
         built = []
@@ -184,7 +184,9 @@ class TestStreamingALID:
             built.append(args[0].shape)
             return LSHIndex(*args, **kwargs)
 
-        monkeypatch.setattr(online, "LSHIndex", counting_index)
+        # The stream calibrates through core.alid.calibrate, which builds
+        # the index.
+        monkeypatch.setattr(alid, "LSHIndex", counting_index)
         stream = StreamingALID(stream_config)
         stream.partial_fit(stream.check_batch(data[:30]))
         stream.partial_fit(stream.check_batch(data[30:]))

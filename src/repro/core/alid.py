@@ -505,18 +505,25 @@ class SeedSchedule:
 
     Items in large LSH buckets are likely members of dominant clusters
     (the observation PALID's sampling is built on, §4.6), so we visit
-    them first; remaining items follow in index order.
+    them first; remaining items follow in index order.  Given *items*,
+    the schedule visits only those, in the order the full schedule
+    would.
     """
 
-    def __init__(self, index: LSHIndex):
+    def __init__(self, index: LSHIndex, items: np.ndarray | None = None):
         # Score = ACTIVE size of the item's table-0 bucket (< 2 active
         # collisions scores zero): one vectorised lookup over the fused
         # CSR.  Active counts matter when the schedule is built over a
         # partially peeled index (streaming re-discovery).
         sizes = index.item_bucket_sizes(table=0, active_only=True)
         score = np.where(sizes >= 2, sizes, 0).astype(np.int64)
+        items = (
+            np.arange(score.size, dtype=np.intp)
+            if items is None
+            else np.unique(np.asarray(items, dtype=np.intp))
+        )
         # Sort by descending bucket size, stable so ties keep index order.
-        self._order = np.argsort(-score, kind="stable").astype(np.intp)
+        self._order = items[np.argsort(-score[items], kind="stable")]
         self._cursor = 0
         self._index = index
 

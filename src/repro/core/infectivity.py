@@ -19,7 +19,9 @@ previously re-implemented it inline:
 
 All three now route through the vectorised helpers below, so the
 criterion (and its oracle accounting: one counted block per evaluation)
-cannot drift between the online and serving paths.
+cannot drift between the online and serving paths.  The ingest tier
+does not re-test the arrivals absorb left over: each one dirties its
+LSH collision component for a re-peel, whatever its margin.
 """
 
 from __future__ import annotations
@@ -33,7 +35,6 @@ __all__ = [
     "item_payoffs",
     "point_payoffs",
     "infective_mask",
-    "max_item_payoffs",
 ]
 
 
@@ -95,34 +96,6 @@ def point_payoffs(
     return cluster_payoffs(
         oracle.point_block(points, members), weights, density
     )
-
-
-def max_item_payoffs(
-    oracle: AffinityOracle, items: np.ndarray, clusters
-) -> np.ndarray:
-    """Best payoff margin of each indexed item over a set of clusters.
-
-    One counted :func:`item_payoffs` block per cluster, reduced with a
-    running maximum — the bulk form of "is this item infective against
-    *any* current cluster?".  The ingest tier
-    (:class:`~repro.serve.ingest.IngestService`) uses it to classify
-    items that absorption left behind: a near-miss margin just under the
-    tolerance is pool noise, a margin above it means the re-converged
-    strategy ejected the item and its collision component needs a
-    re-peel.  An empty cluster list yields ``-inf`` margins.
-    """
-    items = np.asarray(items)
-    best = np.full(items.shape[0], -np.inf)
-    for cluster in clusters:
-        pay = item_payoffs(
-            oracle,
-            items,
-            cluster.members,
-            cluster.weights,
-            cluster.density,
-        )
-        np.maximum(best, pay, out=best)
-    return best
 
 
 def infective_mask(payoffs: np.ndarray, tol: float) -> np.ndarray:

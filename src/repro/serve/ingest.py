@@ -9,22 +9,21 @@ fronts (:class:`~repro.serve.service.ClusterService`,
 :class:`~repro.serve.sharded.ShardedClusterService`) hot-apply — reload
 cost scales with the churn, not with the corpus.
 
-Lifecycle of one batch::
+Lifecycle of one batch (the service validates, journals, counts and
+reports; the stream's ``partial_fit`` is the one ingest step)::
 
     ingest(points)
-      |-- StreamingALID.partial_fit(discover=False)
-      |     absorb: arriving items infective against an existing
-      |     cluster (the shared Theorem 1 criterion of
-      |     repro.core.infectivity) trigger that cluster's LID
-      |     re-convergence; everything else stays in the pool
-      |-- dirty-mark: items absorption left behind dirty their whole
-      |     LSH collision component (the reachability unit of a seeded
-      |     Alg. 2 run)
-      '-- re-peel: discovery re-runs over the dirty regions only, under
-            the same lock, before ingest() returns — new dominant
-            clusters grow where the batch landed, the way Shi et al.'s
-            parallel correlation clustering re-clusters affected
-            subgraphs, not the graph
+      |-- absorb: arriving items infective against an existing cluster
+      |     (the shared Theorem 1 criterion of repro.core.infectivity)
+      |     trigger that cluster's LID re-convergence
+      |-- dirty-mark: every arrival absorption left behind dirties its
+      |     whole LSH collision component (the reachability unit of a
+      |     seeded Alg. 2 run)
+      '-- re-peel: StreamingALID.discover over the dirty components
+            only, before ingest() returns — new dominant clusters grow
+            where the batch landed, the way Shi et al.'s parallel
+            correlation clustering re-clusters affected subgraphs, not
+            the graph
 
     publish_base(dir)    a full DetectionSnapshot; the chain anchor
     publish_delta(dir)   appended rows + LSH insert state + replaced/
@@ -66,7 +65,6 @@ import threading
 import numpy as np
 
 from repro.core.config import ALIDConfig
-from repro.core.infectivity import max_item_payoffs
 from repro.core.results import Cluster, DetectionResult
 from repro.exceptions import ValidationError, WALError
 from repro.obs.metrics import MetricsRegistry
@@ -98,25 +96,19 @@ class IngestReport:
     absorbed:
         Points that joined an existing dominant cluster on the ingest
         path (Theorem 1 infective, survived the re-convergence).
-    still_infective:
-        Unabsorbed points whose best payoff margin still exceeds the
-        tolerance — absorption *failed* for them (the re-converged
-        strategy ejected them), the strongest dirty signal.
     dirty_marked:
         Pool items whose collision components this batch dirtied (the
         region its re-peel covered).
     n_clusters:
         Dominant clusters after the re-peel.
     entries_computed:
-        Affinity entries the absorb + dirty classification cost (the
-        re-peel's own kernel work is not included).
+        Affinity entries the whole batch cost: absorb and re-peel.
     wall_seconds:
         Wall-clock time of the call.
     """
 
     n_points: int
     absorbed: int
-    still_infective: int
     dirty_marked: int
     n_clusters: int
     entries_computed: int
@@ -165,7 +157,9 @@ class IngestService:
         state it is supposed to replay.
 
     All stream access is serialized under one lock, so ingest (with its
-    re-peel), retirement and publishing never interleave mid-mutation.
+    re-peel), retirement, publishing and :meth:`close` never interleave
+    mid-mutation.  A closed service refuses every call with
+    ValidationError and releases its stream (:attr:`stream` reads None).
 
     Example
     -------
@@ -229,7 +223,6 @@ class IngestService:
             "Crash recoveries replayed from the write-ahead log",
         )
         self._lock = threading.Lock()
-        self._closed = False
         # Publishing bookkeeping: the delta chain tip and the state it
         # covers.  None until publish_base() anchors the chain.
         self._published_sha: str | None = None
@@ -251,22 +244,27 @@ class IngestService:
     def _attach_wal(self, wal: WriteAheadLog | str | pathlib.Path) -> None:
         """Adopt an empty journal and write its ``begin`` record."""
         log = wal if isinstance(wal, WriteAheadLog) else WriteAheadLog(wal)
-        if log.n_records:
-            raise ValidationError(
-                f"{log.path} already holds {log.n_records} record(s); "
-                f"a used journal belongs to a previous incarnation — "
-                f"rebuild it via IngestService.recover() instead"
+        try:
+            if log.n_records:
+                raise ValidationError(
+                    f"{log.path} already holds {log.n_records} record(s); "
+                    f"a used journal belongs to a previous incarnation — "
+                    f"rebuild it via IngestService.recover() instead"
+                )
+            if self._stream.n_items:
+                raise ValidationError(
+                    "cannot attach a fresh WAL to a stream that already "
+                    "holds data; the journal must cover every mutation "
+                    "from the first batch"
+                )
+            log.append(
+                "begin",
+                meta={"config": dataclasses.asdict(self._stream.config)},
             )
-        if self._stream.n_items:
-            raise ValidationError(
-                "cannot attach a fresh WAL to a stream that already "
-                "holds data; the journal must cover every mutation "
-                "from the first batch"
-            )
-        log.append(
-            "begin",
-            meta={"config": dataclasses.asdict(self._stream.config)},
-        )
+        except BaseException:
+            if log is not wal:  # a log passed in stays the caller's
+                log.close()
+            raise
         self._m_wal_records.inc()
         self._wal = log
 
@@ -280,66 +278,46 @@ class IngestService:
 
     # ------------------------------------------------------------------
     @property
-    def stream(self) -> StreamingALID:
-        """The underlying live stream (shared, lock before mutating)."""
+    def stream(self) -> StreamingALID | None:
+        """The underlying live stream (shared); None once closed."""
+        return self._stream
+
+    def _open_stream(self) -> StreamingALID:
+        """The stream, or ValidationError once closed (hold the lock)."""
+        if self._stream is None:
+            raise ValidationError("ingest service is closed")
         return self._stream
 
     # ------------------------------------------------------------------
     def ingest(self, points: np.ndarray) -> IngestReport:
-        """Absorb one batch, then re-peel the regions it left dirty.
+        """Journal one batch, then ingest it through the stream.
 
-        Arrivals that are infective against an existing cluster join it
-        through that cluster's LID re-convergence
-        (``partial_fit(discover=False)``).  Everything left unassigned
-        dirties its whole LSH collision component, and targeted
-        discovery re-peels exactly those components before the call
-        returns, under the lock the absorb held.
+        :meth:`~repro.streaming.online.StreamingALID.partial_fit` is the
+        one ingest step: arrivals infective against an existing cluster
+        join it, and every arrival left over dirties its whole LSH
+        collision component, which the stream re-peels before the call
+        returns, under the service lock.
         """
-        if self._closed:
-            raise ValidationError("ingest service is closed")
         tracer = self.tracer
         t_trace = tracer.now() if tracer is not None else 0.0
         with timed() as clock:
             with self._lock:
-                stream = self._stream
+                stream = self._open_stream()
                 # Validate before journaling: a record that would blow
                 # up the stream would poison every future replay.
                 points = stream.check_batch(points)
                 self._journal("ingest", arrays={"points": points})
-                before_entries = stream.result().counters.entries_computed
-                n_before = stream.n_items
-                stream.partial_fit(points, discover=False)
-                new = np.arange(n_before, stream.n_items, dtype=np.intp)
-                leftover = new[~stream.assigned_mask[new]]
-                absorbed = int(new.size - leftover.size)
-                still_infective = 0
-                dirty = leftover
-                if leftover.size:
-                    # Absorption failed for these arrivals; classify how
-                    # (near-miss noise vs ejected-though-infective) and
-                    # dirty their reachable collision regions.
-                    margins = max_item_payoffs(
-                        stream._make_oracle(), leftover, stream.clusters
-                    )
-                    still_infective = int(
-                        (margins > stream.config.tol).sum()
-                    )
-                    components = stream.collision_components()
-                    hit = np.unique(components[leftover])
-                    hit = hit[hit >= 0]
-                    if hit.size:
-                        dirty = np.flatnonzero(np.isin(components, hit))
-                after_entries = stream.result().counters.entries_computed
-                if dirty.size:
-                    before = stream.n_clusters
-                    stream.discover(dirty)
+                before = stream.result()
+                result = stream.partial_fit(points)
+                absorbed = result.metadata["absorbed"]
+                dirty_marked = result.metadata["dirty_marked"]
+                if dirty_marked:
                     self._m_repeel_runs.inc()
                     self._m_repeel_discoveries.inc(
-                        stream.n_clusters - before
+                        result.n_clusters - before.n_clusters
                     )
-                self._m_ingested.inc(int(new.size))
+                self._m_ingested.inc(points.shape[0])
                 self._m_absorbed.inc(absorbed)
-                n_clusters = stream.n_clusters
         if tracer is not None:
             self._ingest_seq += 1
             tracer.record(
@@ -348,17 +326,19 @@ class IngestService:
                 tracer.now(),
                 trace_id=f"ing-{self._ingest_seq}",
                 tid=TID_INGEST,
-                points=int(new.size),
+                points=points.shape[0],
                 absorbed=absorbed,
-                dirty_marked=int(dirty.size),
+                dirty_marked=dirty_marked,
             )
         return IngestReport(
-            n_points=int(new.size),
+            n_points=points.shape[0],
             absorbed=absorbed,
-            still_infective=still_infective,
-            dirty_marked=int(dirty.size),
-            n_clusters=n_clusters,
-            entries_computed=int(after_entries - before_entries),
+            dirty_marked=dirty_marked,
+            n_clusters=result.n_clusters,
+            entries_computed=int(
+                result.counters.entries_computed
+                - before.counters.entries_computed
+            ),
             wall_seconds=clock[0],
         )
 
@@ -374,12 +354,10 @@ class IngestService:
         republish.  Returns the stream's post-retirement detection
         result.
         """
-        if self._closed:
-            raise ValidationError("ingest service is closed")
         tracer = self.tracer
         t_trace = tracer.now() if tracer is not None else 0.0
         with self._lock:
-            stream = self._stream
+            stream = self._open_stream()
             if stream.n_items == 0:
                 raise ValidationError("stream has not seen any data yet")
             indices = check_index_array(
@@ -414,7 +392,8 @@ class IngestService:
         tracer = self.tracer
         t_trace = tracer.now() if tracer is not None else 0.0
         with self._lock:
-            snapshot = self._stream.to_snapshot(
+            stream = self._open_stream()
+            snapshot = stream.to_snapshot(
                 meta={"published_by": "IngestService"}
             )
             snapshot.save(path)
@@ -424,7 +403,7 @@ class IngestService:
                 int(c.label): c for c in snapshot.clusters
             }
             self._published_retired = np.flatnonzero(
-                self._stream.retired_mask
+                stream.retired_mask
             ).astype(np.int64)
             self._sequence = 0
             # Commit marker: journaled only after the artifact saved,
@@ -467,12 +446,12 @@ class IngestService:
         tracer = self.tracer
         t_trace = tracer.now() if tracer is not None else 0.0
         with self._lock:
+            stream = self._open_stream()
             if self._published_sha is None:
                 raise ValidationError(
                     "no base snapshot published; call publish_base() "
                     "before publishing deltas"
                 )
-            stream = self._stream
             n_now = stream.n_items
             if n_now < self._published_n:
                 raise ValidationError(
@@ -518,7 +497,7 @@ class IngestService:
                 retired_rows=newly_retired,
                 meta={
                     "published_by": "IngestService",
-                    "stream_batches": stream._batches,
+                    "stream_batches": stream.result().metadata["batches"],
                 },
             )
             delta.save(path)
@@ -600,21 +579,22 @@ class IngestService:
             wal_path = pathlib.Path(wal)
         torn = WriteAheadLog.truncate_torn_tail(wal_path)
         log = WriteAheadLog(wal_path)
-        records = log.replay()
-        if not records or records[0].kind != "begin":
-            raise WALError(
-                f"{wal_path}: journal does not start with a begin "
-                f"record; nothing to recover from"
-            )
-        with decode_guard(
-            f"{wal_path}: begin record carries an invalid config", WALError
-        ):
-            config = ALIDConfig.from_dict(records[0].meta.get("config"))
-        service = cls(StreamingALID(config), registry=registry)
-        service._m_recoveries.inc()
-        publishes = 0
-        service._replaying = True
         try:
+            records = log.replay()
+            if not records or records[0].kind != "begin":
+                raise WALError(
+                    f"{wal_path}: journal does not start with a begin "
+                    f"record; nothing to recover from"
+                )
+            with decode_guard(
+                f"{wal_path}: begin record carries an invalid config",
+                WALError,
+            ):
+                config = ALIDConfig.from_dict(records[0].meta.get("config"))
+            service = cls(StreamingALID(config), registry=registry)
+            service._m_recoveries.inc()
+            publishes = 0
+            service._replaying = True
             with decode_guard(
                 f"{wal_path}: replay failed — the journal and the stream "
                 f"disagree",
@@ -633,8 +613,11 @@ class IngestService:
                             f"{wal_path}: unexpected {record.kind!r} "
                             f"record at position {number}"
                         )
-        finally:
-            service._replaying = False
+        except BaseException:
+            # A refused recovery leaves nothing behind to own the log.
+            log.close()
+            raise
+        service._replaying = False
         service._wal = log
         service.tracer = tracer
         service.recovery_info = {
@@ -689,9 +672,10 @@ class IngestService:
     def stats(self) -> dict:
         """Ingest-side counters (lifetime scope, registry-backed)."""
         with self._lock:
+            stream = self._stream
             return {
-                "n_items": self._stream.n_items,
-                "n_clusters": self._stream.n_clusters,
+                "n_items": 0 if stream is None else stream.n_items,
+                "n_clusters": 0 if stream is None else stream.n_clusters,
                 "ingested": self._m_ingested.value,
                 "absorbed": self._m_absorbed.value,
                 "retired": self._m_retired.value,
@@ -705,12 +689,16 @@ class IngestService:
             }
 
     def close(self) -> None:
-        """Refuse further ingests and close the journal (idempotent)."""
-        if self._closed:
-            return
-        self._closed = True
-        if self._wal is not None:
-            self._wal.close()
+        """Refuse further calls, close the journal, release the stream.
+
+        Idempotent.  Takes the service lock, so a call in progress
+        finishes (journal record and all) before the journal closes;
+        every later call raises ValidationError.
+        """
+        with self._lock:
+            self._stream = None
+            if self._wal is not None:
+                self._wal.close()
 
     def __enter__(self) -> "IngestService":
         """Context-manager entry (the service is already running)."""

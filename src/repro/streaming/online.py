@@ -10,15 +10,18 @@ Design (an incremental reading of paper Alg. 2):
   criterion) trigger a LID re-convergence of that cluster over its old
   support plus the joiners.  Members that lose their weight in the
   re-converged strategy return to the unassigned pool.
-* **Discover** — Alg. 2 detections seeded from the *new* items' LSH
-  buckets grow any genuinely new dominant clusters among the unassigned
-  pool; sub-threshold detections stay unassigned (noise may become a
-  cluster once enough similar items have arrived).
+* **Discover** — every arrival absorb left unassigned dirties its whole
+  LSH collision component (a seeded Alg. 2 run never leaves its seed's
+  component), and Alg. 2 runs seeded across the dirty components, in
+  the fit's seed order, grow any genuinely new dominant clusters there;
+  sub-threshold detections stay unassigned (noise may become a cluster
+  once enough similar items have arrived).  Components no arrival
+  touched keep their old outcome and are not re-seeded.
 * **Retire** — expired items (old news, deleted posts) are tombstoned:
   they vanish from every future query and every cluster containing one
   re-converges over its survivors; clusters that fall below the
   dominance threshold dissolve back into the pool.
-  :meth:`StreamingALID.rediscover` re-runs discovery over the whole
+  ``discover(np.arange(n_items))`` re-runs discovery over the whole
   pool, for streams where retirement may have *freed* items to regroup.
 
 Work and memory follow the ALID accounting: only local blocks are ever
@@ -41,7 +44,7 @@ from repro.core.results import Cluster, DetectionResult
 from repro.exceptions import ValidationError
 from repro.lsh.index import LSHIndex
 from repro.utils.timing import timed
-from repro.utils.validation import check_data_matrix
+from repro.utils.validation import check_data_matrix, check_index_array
 
 __all__ = ["StreamingALID"]
 
@@ -156,22 +159,20 @@ class StreamingALID:
                 f"{self._data.shape[1]}"
             )
 
-    def partial_fit(
-        self, batch: np.ndarray, *, discover: bool = True
-    ) -> DetectionResult:
+    def partial_fit(self, batch: np.ndarray) -> DetectionResult:
         """Ingest one batch and return the updated detection snapshot.
+
+        Arrivals infective against an existing cluster join it through
+        that cluster's LID re-convergence.  Every arrival left
+        unassigned dirties its whole LSH collision component, and
+        :meth:`discover` re-peels exactly those components.  The
+        snapshot's ``metadata`` adds the batch's ``absorbed`` count and
+        its ``dirty_marked`` count (the items the re-peel covered).
 
         Parameters
         ----------
         batch:
             Arriving items, shape ``(m, d)``.
-        discover:
-            When False, only the absorb step runs: arriving items join
-            existing infective clusters, but no new clusters are grown.
-            Items left unassigned stay in the pool for a later
-            :meth:`discover` call — the mode the ingest tier uses to
-            re-peel only the collision regions absorption left dirty
-            instead of seeding from every arrival.
         """
         batch = check_data_matrix(batch, name="batch")
         with timed() as clock:
@@ -189,26 +190,35 @@ class StreamingALID:
                     [self._retired, np.zeros(batch.shape[0], dtype=bool)]
                 )
             self._batches += 1
-            oracle = self._make_oracle()
-            self._absorb(oracle, new_indices)
-            if discover:
-                self._discover(oracle, new_indices)
-            else:
-                self._sync_index_mask()
-        return self._snapshot(clock[0])
+            self._absorb(self._make_oracle(), new_indices)
+            self._sync_index_mask()
+            leftover = new_indices[~self._assigned[new_indices]]
+            dirty = leftover
+            if leftover.size:
+                # Leftovers are active, so each has a component label.
+                components = self._index.collision_components()
+                dirty = np.flatnonzero(
+                    np.isin(components, components[leftover])
+                )
+                self.discover(dirty)
+        return self._snapshot(
+            clock[0],
+            absorbed=int(new_indices.size - leftover.size),
+            dirty_marked=int(dirty.size),
+        )
 
     def discover(self, indices: np.ndarray) -> DetectionResult:
         """Run discovery seeded from the given unassigned items.
 
-        The targeted form of :meth:`rediscover`: only Alg. 2 runs seeded
-        at *indices* (assigned or retired entries are skipped) are
-        attempted, which is how the ingest tier re-peels one dirty
-        collision region without sweeping the whole pool.
+        Alg. 2 runs are seeded only at *indices* (assigned or retired
+        entries are skipped), in the order the fit's
+        :class:`~repro.core.alid.SeedSchedule` visits them.
+        :meth:`partial_fit` passes the collision components its batch
+        left dirty; ``discover(np.arange(n_items))`` sweeps the whole
+        pool, e.g. after retirements freed items to regroup.
         """
         if self._data is None:
             raise ValidationError("stream has not seen any data yet")
-        from repro.utils.validation import check_index_array
-
         indices = check_index_array(indices, self.n_items, name="indices")
         with timed() as clock:
             pool = indices[
@@ -218,22 +228,6 @@ class StreamingALID:
                 oracle = self._make_oracle()
                 self._discover(oracle, pool)
         return self._snapshot(clock[0])
-
-    def collision_components(self) -> np.ndarray:
-        """Component labels of the unassigned pool's collision graph.
-
-        Delegates to
-        :meth:`repro.lsh.index.LSHIndex.collision_components` with the
-        stream's visibility mask in force (assigned and retired items
-        read -1).  Two pool items share a component exactly when a
-        discovery run seeded at one could reach the other, so a failed
-        absorption dirties precisely its component — the re-peel unit of
-        the ingest tier.
-        """
-        if self._data is None:
-            raise ValidationError("stream has not seen any data yet")
-        self._sync_index_mask()
-        return self._index.collision_components()
 
     def export_appended_keys(self, start: int) -> np.ndarray:
         """Per-table LSH bucket keys of items ``start..n_items`` ``(l, m)``.
@@ -286,8 +280,6 @@ class StreamingALID:
         """
         if self._data is None:
             raise ValidationError("stream has not seen any data yet")
-        from repro.utils.validation import check_index_array
-
         indices = check_index_array(indices, self.n_items, name="indices")
         with timed() as clock:
             self._retired[indices] = True
@@ -306,22 +298,6 @@ class StreamingALID:
                     survivors.append(refreshed)
             self._clusters = survivors
             self._sync_index_mask()
-        return self._snapshot(clock[0])
-
-    def rediscover(self) -> DetectionResult:
-        """Run discovery over the whole unassigned pool.
-
-        Useful after retirements: items that previously lost out to a
-        now-dissolved cluster (or noise that has meanwhile accumulated
-        peers) may form dominant clusters of their own.
-        """
-        if self._data is None:
-            raise ValidationError("stream has not seen any data yet")
-        with timed() as clock:
-            pool = np.flatnonzero(~self._assigned & ~self._retired)
-            if pool.size:
-                oracle = self._make_oracle()
-                self._discover(oracle, pool)
         return self._snapshot(clock[0])
 
     def _shrink_cluster(
@@ -465,7 +441,6 @@ class StreamingALID:
         # made it into the support leave it.
         dropped = np.setdiff1d(cluster.members, members)
         self._assigned[dropped] = False
-        self._index.reactivate_all()  # mask refreshed below
         self._assigned[members] = True
         self._sync_index_mask()
         return Cluster(
@@ -483,25 +458,17 @@ class StreamingALID:
         if taken.size:
             self._index.deactivate(taken)
 
-    def _discover(self, oracle: AffinityOracle, new_indices: np.ndarray) -> None:
-        """Grow new dominant clusters seeded from the arriving items."""
+    def _discover(self, oracle: AffinityOracle, seeds: np.ndarray) -> None:
+        """Grow new dominant clusters seeded from *seeds* (pool items)."""
         cfg = self.config
         self._sync_index_mask()
         engine = self._make_engine(oracle)
-        schedule = SeedSchedule(self._index)
-        new_set = set(int(i) for i in new_indices)
+        schedule = SeedSchedule(self._index, seeds)
         attempts = 0
-        cap = max(1, new_indices.size)
-        while attempts < cap:
+        while attempts < seeds.size:
             seed = schedule.next_active()
             if seed is None:
                 break
-            if seed not in new_set:
-                # Old unassigned noise: it failed to form a cluster
-                # before and nothing about it changed — skip cheaply by
-                # deactivating it for this discovery round only.
-                self._index.deactivate(np.asarray([seed]))
-                continue
             attempts += 1
             detection = engine.detect_from_seed(seed)
             members = detection.members
@@ -527,7 +494,7 @@ class StreamingALID:
                 self._index.deactivate(np.asarray([seed]))
         self._sync_index_mask()
 
-    def _snapshot(self, runtime: float) -> DetectionResult:
+    def _snapshot(self, runtime: float, **batch_counts: int) -> DetectionResult:
         return DetectionResult(
             clusters=list(self._clusters),
             all_clusters=list(self._clusters),
@@ -539,5 +506,6 @@ class StreamingALID:
                 "batches": self._batches,
                 "retired": self.n_retired,
                 "kernel_k": None if self._kernel is None else self._kernel.k,
+                **batch_counts,
             },
         )

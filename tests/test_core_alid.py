@@ -2,11 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.alid import ALID, ALIDEngine, SeedSchedule
 from repro.core.config import ALIDConfig
 from repro.eval.metrics import average_f1
 from repro.exceptions import ValidationError
+from repro.lsh.index import LSHIndex
 
 
 @pytest.fixture
@@ -98,6 +101,26 @@ class TestALIDEngine:
         assert engine._initial_radius(0) > 0
 
 
+def _schedule_index():
+    """A 60-item index over two blobs and noise."""
+    rng = np.random.default_rng(0)
+    centers = np.array([[0.0] * 8, [10.0] * 8])
+    data = np.vstack(
+        [c + rng.normal(scale=0.1, size=(20, 8)) for c in centers]
+        + [rng.uniform(-40, 40, size=(20, 8))]
+    )
+    return LSHIndex(data, r=5.0, n_projections=8, n_tables=5, seed=0)
+
+
+def _drain(schedule, index):
+    """Every seed *schedule* yields, peeling each as it is visited."""
+    seen = []
+    while (seed := schedule.next_active()) is not None:
+        seen.append(seed)
+        index.deactivate(np.asarray([seed]))
+    return seen
+
+
 class TestSeedSchedule:
     def test_visits_all_items(self, blob_data, blob_config):
         data, _ = blob_data
@@ -135,6 +158,23 @@ class TestSeedSchedule:
         schedule = SeedSchedule(engine.index)
         first = schedule.next_active()
         assert labels[first] == 1
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(
+        picks=st.lists(st.integers(0, 59), max_size=60),
+        peeled=st.lists(st.integers(0, 59), max_size=30),
+    )
+    def test_given_items_keep_the_full_order(self, picks, peeled):
+        """``SeedSchedule(index, items)`` visits exactly *items*, in the
+        order the full schedule over the same active mask visits them."""
+        index = _schedule_index()
+        index.deactivate(np.asarray(peeled, dtype=np.intp))
+        full = _drain(SeedSchedule(index), index)
+        index.reactivate_all()
+        index.deactivate(np.asarray(peeled, dtype=np.intp))
+        items = np.asarray(picks, dtype=np.intp)
+        got = _drain(SeedSchedule(index, items), index)
+        assert got == [seed for seed in full if seed in set(picks)]
 
 
 class TestALIDFit:

@@ -14,7 +14,7 @@ import pytest
 
 from repro.cli import main
 from repro.core.config import ALIDConfig
-from repro.core.infectivity import max_item_payoffs
+from repro.datasets.synthetic import make_synthetic_mixture
 from repro.exceptions import SnapshotError, ValidationError
 from repro.io import save_dataset
 from repro.serve import (
@@ -468,6 +468,21 @@ class TestIngestService:
         assert report.wall_seconds >= 0.0
         service.close()
 
+    def test_report_counts_the_whole_batch(self):
+        """``entries_computed`` covers absorb and re-peel alike."""
+        ds = make_synthetic_mixture(
+            n=400, regime="bounded", bound=200, n_clusters=5, dim=20, seed=0
+        )
+        with IngestService(
+            StreamingALID(ALIDConfig(delta=100, seed=0))
+        ) as service:
+            for batch in (ds.data[:200], ds.data[200:]):
+                before = service.stream.result().counters.entries_computed
+                report = service.ingest(batch)
+                after = service.stream.result().counters.entries_computed
+                assert report.dirty_marked > 0  # a re-peel ran
+                assert report.entries_computed == after - before > 0
+
     def test_publish_delta_requires_base(self, rng):
         data, _ = _blobs(rng, np.full((1, 8), [[0.0]]))
         with IngestService(StreamingALID(_stream_config())) as service:
@@ -500,18 +515,30 @@ class TestIngestService:
         service.close()
         with pytest.raises(ValidationError, match="closed"):
             service.ingest(data)
+        assert service.stream is None  # closing released the stream
+        stats = service.stats()
+        assert stats["n_items"] == stats["n_clusters"] == 0
+        assert stats["ingested"] == data.shape[0]
+
+    def test_closed_service_publishes_nothing(self, rng, tmp_path):
+        data, _ = _blobs(rng, np.full((2, 8), [[0.0], [10.0]]))
+        for wal in (None, tmp_path / "ingest.wal"):
+            service = IngestService(StreamingALID(_stream_config()), wal=wal)
+            service.ingest(data)
+            service.publish_base(tmp_path / "base")
+            service.close()
+            for publish, name in (
+                (service.publish_base, "base_again"),
+                (service.publish_delta, "delta_0000"),
+            ):
+                with pytest.raises(ValidationError, match="service is closed"):
+                    publish(tmp_path / name)
+                assert not (tmp_path / name).exists()
+            with pytest.raises(ValidationError, match="service is closed"):
+                service.retire(np.arange(3))
 
 
 class TestStreamingAdditions:
-    def test_deferred_discovery(self, rng):
-        data, _ = _blobs(rng, np.full((2, 8), [[0.0], [10.0]]))
-        stream = StreamingALID(_stream_config())
-        stream.partial_fit(data, discover=False)
-        assert stream.n_clusters == 0
-        assert not stream.assigned_mask.any()
-        stream.discover(np.arange(stream.n_items))
-        assert stream.n_clusters == 2
-
     def test_discover_requires_data(self):
         with pytest.raises(ValidationError):
             StreamingALID(_stream_config()).discover(np.arange(3))
@@ -537,15 +564,6 @@ class TestStreamingAdditions:
         assert _clusters_identical(snapshot.clusters, stream.clusters)
         service = ClusterService(snapshot)
         assert service.assign(data[:10]).n_queries == 10
-
-    def test_max_item_payoffs_empty_clusters(self, rng):
-        data, _ = _blobs(rng, np.full((2, 8), [[0.0], [10.0]]))
-        stream = StreamingALID(_stream_config())
-        stream.partial_fit(data)
-        margins = max_item_payoffs(
-            stream._make_oracle(), np.arange(5), []
-        )
-        assert np.all(np.isneginf(margins))
 
 
 class TestIngestCLI:

@@ -21,9 +21,11 @@ fires on explicit operation counts, and every ingest re-peels its dirty
 regions before it returns.
 """
 
+import dataclasses
 import errno
 import json
 import shutil
+import threading
 import zlib
 
 import numpy as np
@@ -50,6 +52,7 @@ from repro.serve import (
     verify_snapshot,
     verify_wal,
 )
+from repro.serve import ingest as ingest_module
 from repro.serve import wal as wal_module
 from repro.serve.snapshot import MANIFEST_NAME
 from repro.serve.wal import WAL_MAGIC, _LEN
@@ -467,19 +470,20 @@ class TestCrashRecovery:
             tmp_path / "j.wal", fault_hook=FaultInjector(enospc_at_record=2)
         )
         live = IngestService(StreamingALID(_config()), wal=wal)
+        stream = live.stream  # close() releases it
         try:
             live.ingest(batches["b1"][:100])
             with pytest.raises(OSError, match="ENOSPC|injected"):
                 live.ingest(batches["b2"])
             live.ingest(batches["b3"])
-            assert live.stream.n_items == 200
+            assert stream.n_items == 200
         finally:
             live.close()
         service = IngestService.recover(tmp_path / "j.wal")
         try:
             assert service.recovery_info["torn_bytes_truncated"] == 0
             assert service.recovery_info["records_replayed"] == 3
-            _assert_streams_identical(service.stream, live.stream)
+            _assert_streams_identical(service.stream, stream)
         finally:
             service.close()
 
@@ -499,6 +503,7 @@ class TestCrashRecovery:
             StreamingALID(_config()),
             wal=WriteAheadLog(root / "ingest.wal", fault_hook=injector),
         )
+        stream = live.stream  # close() releases it
         failed = []
         try:
             for kind, op in _ops(batches, root):
@@ -518,8 +523,8 @@ class TestCrashRecovery:
         service = IngestService.recover(root / "ingest.wal", root)
         try:
             assert service.recovery_info["torn_bytes_truncated"] == 0
-            _assert_streams_identical(service.stream, live.stream)
-            _assert_streams_identical(live.stream, ref.stream)
+            _assert_streams_identical(service.stream, stream)
+            _assert_streams_identical(stream, ref.stream)
         finally:
             ref.close()
             service.close()
@@ -535,6 +540,7 @@ class TestCrashRecovery:
         root = tmp_path / "chain"
         data = np.concatenate([batches["b1"], batches["b2"], batches["b3"]])
         live = IngestService(StreamingALID(_config()), wal=root / "ingest.wal")
+        stream = live.stream  # close() releases it
         try:
             for lo in range(0, data.shape[0], 40):
                 live.ingest(data[lo:lo + 40])
@@ -543,7 +549,7 @@ class TestCrashRecovery:
             live.close()
         service = IngestService.recover(root / "ingest.wal", root)
         try:
-            _assert_streams_identical(service.stream, live.stream)
+            _assert_streams_identical(service.stream, stream)
             service.ingest(batches["queries"][:40])
             service.publish_delta(root / "delta_0000")
             want = ClusterService(service.stream.to_snapshot()).assign(
@@ -846,6 +852,154 @@ class TestRecoverValidation:
             assert stats["retired"] == len(batches["retire"])
             assert stats["recoveries"] == 0
             assert service.wal is not None
+        finally:
+            service.close()
+
+
+def _journal_without_begin(batches, root):
+    """A journal holding only its header."""
+    WriteAheadLog(root / "ingest.wal").close()
+
+
+def _journal_bad_config(batches, root):
+    """A journal whose begin record carries an unknown config field."""
+    config = dict(dataclasses.asdict(_config()), warp=1)
+    with WriteAheadLog(root / "ingest.wal") as wal:
+        wal.append("begin", meta={"config": config})
+
+
+def _journal_replay_mismatch(batches, root):
+    """A journal whose second batch the stream refuses (wrong width)."""
+    with WriteAheadLog(root / "ingest.wal") as wal:
+        wal.append("begin", meta={"config": dataclasses.asdict(_config())})
+        wal.append("ingest", arrays={"points": batches["b1"]})
+        wal.append("ingest", arrays={"points": np.zeros((3, 5))})
+
+
+def _journal_marker_vanished(batches, root):
+    _scripted_run(batches, root, wal=WriteAheadLog(root / "ingest.wal")).close()
+    shutil.rmtree(root / "delta_0001")
+
+
+def _journal_marker_diverged(batches, root):
+    _scripted_run(batches, root, wal=WriteAheadLog(root / "ingest.wal")).close()
+    manifest = root / "base" / MANIFEST_NAME
+    doc = json.loads(manifest.read_text())
+    doc["meta"]["published_by"] = "someone else"
+    manifest.write_text(json.dumps(doc))
+
+
+class TestRefusalClosesItsJournal:
+    """A refused attach or recovery closes every log the call opened."""
+
+    @staticmethod
+    def _record_opened(monkeypatch) -> list:
+        opened = []
+
+        class Recording(WriteAheadLog):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                opened.append(self)
+
+        monkeypatch.setattr(ingest_module, "WriteAheadLog", Recording)
+        return opened
+
+    @pytest.mark.parametrize(
+        "make, match",
+        [
+            (_journal_without_begin, "begin"),
+            (_journal_bad_config, "config"),
+            (_journal_replay_mismatch, "disagree"),
+            (_journal_marker_vanished, "vanished"),
+            (_journal_marker_diverged, "diverged"),
+        ],
+    )
+    def test_refused_recovery(self, batches, tmp_path, monkeypatch, make, match):
+        root = tmp_path / "chain"
+        root.mkdir()
+        make(batches, root)
+        opened = self._record_opened(monkeypatch)
+        with pytest.raises(WALError, match=match):
+            IngestService.recover(root / "ingest.wal", root)
+        assert opened
+        assert all(log._handle.closed for log in opened)
+
+    def test_refused_attach(self, batches, tmp_path, monkeypatch):
+        used = tmp_path / "used.wal"
+        _scripted_run(batches, tmp_path / "chain", wal=WriteAheadLog(used)).close()
+        fitted = StreamingALID(_config())
+        fitted.partial_fit(batches["b1"])
+        opened = self._record_opened(monkeypatch)
+        with pytest.raises(ValidationError, match="recover"):
+            IngestService(StreamingALID(_config()), wal=used)
+        with pytest.raises(ValidationError, match="already"):
+            IngestService(fitted, wal=tmp_path / "fresh.wal")
+        assert len(opened) == 2
+        assert all(log._handle.closed for log in opened)
+
+    def test_callers_log_stays_open(self, batches, tmp_path):
+        fitted = StreamingALID(_config())
+        fitted.partial_fit(batches["b1"])
+        with WriteAheadLog(tmp_path / "j.wal") as wal:
+            with pytest.raises(ValidationError, match="already"):
+                IngestService(fitted, wal=wal)
+            assert not wal._handle.closed
+
+
+class TestClose:
+    def test_close_waits_for_the_ingest_in_flight(self, batches, tmp_path):
+        """``close()`` lands while an ingest's journal append is parked.
+
+        The ingest finishes (journaled and applied) before the journal
+        closes, and recovery rebuilds exactly the stream it served.
+        """
+        parked, release = threading.Event(), threading.Event()
+        appends = []
+
+        def hook(stage, handle, frame):
+            if stage == "append":
+                appends.append(frame)
+                if len(appends) == 3:  # begin, b1, then park b2
+                    parked.set()
+                    release.wait(timeout=60)
+            return False
+
+        path = tmp_path / "j.wal"
+        live = IngestService(
+            StreamingALID(_config()), wal=WriteAheadLog(path, fault_hook=hook)
+        )
+        stream = live.stream  # close() releases it
+        live.ingest(batches["b1"])
+        outcome = {}
+
+        def second_ingest():
+            try:
+                outcome["report"] = live.ingest(batches["b2"])
+            except Exception as exc:  # noqa: BLE001 - asserted below
+                outcome["error"] = exc
+
+        ingesting = threading.Thread(target=second_ingest)
+        closing = threading.Thread(target=live.close)
+        try:
+            ingesting.start()
+            assert parked.wait(timeout=60)
+            closing.start()
+            closing.join(timeout=0.5)
+            assert closing.is_alive()  # blocked behind the ingest
+        finally:
+            release.set()
+            ingesting.join(timeout=120)
+            closing.join(timeout=120)
+        assert not ingesting.is_alive() and not closing.is_alive()
+        assert "error" not in outcome, outcome.get("error")
+        assert outcome["report"].n_points == batches["b2"].shape[0]
+        assert live.stream is None
+        with pytest.raises(ValidationError, match="service is closed"):
+            live.ingest(batches["b3"])
+        service = IngestService.recover(path)
+        try:
+            assert service.recovery_info["records_replayed"] == 3
+            _assert_streams_identical(service.stream, stream)
         finally:
             service.close()
 

@@ -306,7 +306,7 @@ class TestRediscover:
     def test_rediscover_before_any_data_rejected(self, stream_config):
         stream = StreamingALID(stream_config)
         with pytest.raises(ValidationError):
-            stream.rediscover()
+            stream.discover(np.arange(3))
 
     def test_rediscover_finds_pooled_cluster(self, blob_data, stream_config):
         data, labels = blob_data
@@ -320,11 +320,11 @@ class TestRediscover:
         stream.retire(cluster1[:15])
         # The 5 survivors were returned to the pool (below threshold)
         # or kept as a small cluster; feed 15 fresh near-duplicates and
-        # rediscover.
+        # re-run discovery over the whole pool.
         rng = np.random.default_rng(5)
         fresh = np.full((15, 8), 10.0) + rng.normal(scale=0.1, size=(15, 8))
         stream.partial_fit(fresh)
-        snapshot = stream.rediscover()
+        snapshot = stream.discover(np.arange(stream.n_items))
         # Some dominant cluster must now cover the fresh items.
         fresh_start = data.shape[0]
         covered = False
@@ -340,5 +340,69 @@ class TestRediscover:
         data, labels = blob_data
         stream = StreamingALID(stream_config)
         before = stream.partial_fit(data)
-        after = stream.rediscover()
+        after = stream.discover(np.arange(stream.n_items))
         assert after.n_clusters == before.n_clusters
+
+
+class TestOneIngestStep:
+    """``partial_fit`` absorbs, dirties leftovers' components, re-peels."""
+
+    @pytest.fixture
+    def discover_calls(self, monkeypatch):
+        """Record every ``discover`` call with what it must cover.
+
+        Captured at call time, i.e. after absorb: the indices passed,
+        and the union of the collision components of the batch's
+        unassigned arrivals.
+        """
+        calls = []
+        original = StreamingALID.discover
+
+        def spy(stream, indices):
+            components = stream._index.collision_components()
+            new = np.arange(spy.n_before, stream.n_items)
+            leftover = new[~stream.assigned_mask[new]]
+            want = np.flatnonzero(np.isin(components, components[leftover]))
+            calls.append((np.asarray(indices).copy(), want))
+            return original(stream, indices)
+
+        spy.n_before = 0
+        monkeypatch.setattr(StreamingALID, "discover", spy)
+        return calls, spy
+
+    def test_dirty_components_are_the_discover_call(
+        self, blob_data, stream_config, discover_calls
+    ):
+        data, _ = blob_data
+        calls, spy = discover_calls
+        stream = StreamingALID(stream_config)
+        first = stream.partial_fit(data)
+        assert len(calls) == 1
+        indices, want = calls[0]
+        assert np.array_equal(indices, want)
+        assert first.metadata["absorbed"] == 0
+        assert first.metadata["dirty_marked"] == indices.size
+        assert first.n_clusters == 2
+
+        # Near-copies of cluster members all absorb: no re-peel at all.
+        members = stream.clusters[0].members
+        spy.n_before = stream.n_items
+        copies = stream.partial_fit(data[members[:5]] + 1e-3)
+        assert copies.metadata["absorbed"] == 5
+        assert copies.metadata["dirty_marked"] == 0
+        assert len(calls) == 1
+
+        # Copies plus far-off noise: the noise's components re-peel.
+        rng = np.random.default_rng(3)
+        noise = rng.uniform(-40, 40, size=(4, data.shape[1]))
+        spy.n_before = stream.n_items
+        mixed = stream.partial_fit(
+            np.vstack([data[members[5:8]] + 1e-3, noise])
+        )
+        assert len(calls) == 2
+        indices, want = calls[1]
+        assert np.array_equal(indices, want)
+        assert mixed.metadata["absorbed"] == 3
+        assert mixed.metadata["dirty_marked"] == indices.size
+        noise_rows = np.arange(stream.n_items - 4, stream.n_items)
+        assert set(noise_rows) <= set(indices)

@@ -10,11 +10,13 @@ work accounting regresses:
   ``--tolerance`` (default 10%) — kernel evaluations are deterministic
   for fixed seeds, so any growth is a real algorithmic regression, not
   machine noise;
-* the deterministic retrieval and peeling counts (``candidates_returned``
-  of the ``lsh_batch_*`` lanes; ``noise_prefiltered``, ``lid_runs`` and
-  ``seed_rounds`` of the ``alid_*`` lanes) must equal the baseline
+* the deterministic retrieval, peeling and column counts
+  (``candidates_returned`` of the ``lsh_batch_*`` lanes;
+  ``noise_prefiltered``, ``lid_runs``, ``seed_rounds`` and
+  ``column_requests`` of the ``alid_*`` lanes) must equal the baseline
   exactly — a dedup or pre-filter change that drops a candidate or
-  misclassifies a seed moves one of them, in either direction;
+  misclassifies a seed, or a LID miss path that counts a column
+  differently, moves one of them, in either direction;
 * a workload present in the baseline but missing from the current
   report fails (the gate must not silently narrow);
 * a workload reporting any of the zero-tolerance booleans
@@ -70,6 +72,7 @@ EXACT_KEYS = (
     "noise_prefiltered",
     "lid_runs",
     "seed_rounds",
+    "column_requests",
 )
 # Baseline keys gated in the *shrink* direction: the current value may
 # not fall more than the tolerance below the committed one.

@@ -6,17 +6,26 @@ Fig. 3's green columns).  The original implementation kept them in a
 one Python-level concatenate per local-range change.  This cache keeps
 every cached column as one row of a single 2-D buffer, so
 
-* a batch of missing columns is fetched with **one** BLAS-backed block
-  evaluation (:meth:`~repro.affinity.oracle.AffinityOracle.columns`),
+* a miss in :meth:`ColumnBlockCache.get` evaluates only ``A[rows, j]``:
+  the cache holds the row block ``data[rows]`` and its squared norms
+  from the row set's first miss
+  (:meth:`~repro.affinity.oracle.AffinityOracle.row_block`), so each
+  miss is one matrix-vector product plus elementwise steps in the
+  oracle's single-column branch of
+  :meth:`~repro.affinity.oracle.AffinityOracle.columns`, bit-identical
+  to a block fetch of that column, admitted into one slot;
+* a batch of missing columns (:meth:`ColumnBlockCache.ensure`) is
+  fetched with **one** BLAS-backed block evaluation,
 * a local-range restriction is **one** fancy-index over the buffer, and
 * a local-range extension fetches the new rows of *every* cached column
   with one block call instead of one oracle call per column.
 
 Storage is charged to the owning oracle's simulated-memory accounting
-exactly as before.  When the oracle has a ``budget_entries`` cap, the
-cache **evicts least-recently-used columns** instead of dying: columns
-are dropped (and their storage released) until the new charge fits.
-Only when nothing evictable remains does the oracle's
+exactly as before (the held row block is data, not affinity storage,
+and is charged nothing).  When the oracle has a ``budget_entries`` cap,
+the cache **evicts least-recently-used columns** instead of dying:
+columns are dropped (and their storage released) until the new charge
+fits.  Only when nothing evictable remains does the oracle's
 :class:`~repro.exceptions.BudgetExceededError` surface — the same
 bounded-memory contract as the paper's §4.5 release discipline, but
 enforced continuously rather than only at cluster peeling.
@@ -50,26 +59,11 @@ class ColumnBlockCache:
         Global indices of the current row set (the LID local range
         ``beta``).  Must already be validated by the caller; the cache
         trusts it on every fetch (hot path).
-    max_columns:
-        Optional hard cap on simultaneously cached columns, independent
-        of the oracle budget.  ``None`` means only the oracle budget
-        limits the cache.
     """
 
-    def __init__(
-        self,
-        oracle: AffinityOracle,
-        rows: np.ndarray,
-        *,
-        max_columns: int | None = None,
-    ):
+    def __init__(self, oracle: AffinityOracle, rows: np.ndarray):
         self.oracle = oracle
         self.rows = np.asarray(rows, dtype=np.intp)
-        if max_columns is not None and max_columns < 1:
-            raise ValueError(
-                f"max_columns must be >= 1 or None, got {max_columns}"
-            )
-        self.max_columns = max_columns
         # Telemetry tallies (plain ints — zero overhead when nobody
         # reads them).  The fit-phase profiler drains them per cluster
         # at :meth:`~repro.dynamics.lid.LIDState.release` time.
@@ -82,6 +76,10 @@ class ColumnBlockCache:
         self._free: list[int] = []
         # Insertion order tracks recency: first key = least recently used.
         self._use: dict[int, None] = {}
+        # The oracle's row operand for single-column misses over `rows`,
+        # gathered by the first miss and dropped when `rows` changes
+        # (None for a kernel without a single-column branch).
+        self._row_block: tuple[np.ndarray, np.ndarray] | None = None
 
     # ------------------------------------------------------------------
     # inspection
@@ -182,7 +180,11 @@ class ColumnBlockCache:
         return self._buf[slot, : self.n_rows].copy()
 
     def get(self, j: int) -> np.ndarray:
-        """Column ``A[rows, j]``, fetching through the oracle on a miss.
+        """Column ``A[rows, j]``, evaluated through the oracle on a miss.
+
+        A miss computes only this column, from the row block held for
+        the current row set, and admits it into one slot (evicting LRU
+        columns first when the budget needs room).
 
         Returns a **view into the slot buffer** — valid only until the
         next cache operation (a later fetch may evict this column and
@@ -194,7 +196,16 @@ class ColumnBlockCache:
         j = int(j)
         slot = self._slot_of.get(j)
         if slot is None:
-            self.ensure(np.asarray([j], dtype=np.intp))
+            self.misses += 1
+            if self._row_block is None:
+                self._row_block = self.oracle.row_block(self.rows)
+            column = self.oracle.columns(
+                np.asarray([j], dtype=np.intp),
+                self.rows,
+                assume_valid=True,
+                row_block=self._row_block,
+            )
+            self._admit([j], column.T)
             slot = self._slot_of[j]
         else:
             self.hits += 1
@@ -206,10 +217,7 @@ class ColumnBlockCache:
 
         All missing columns are computed with a single oracle block
         call, charged to storage in one transaction (after any LRU
-        eviction needed to make room).  With a ``max_columns`` cap, a
-        miss batch larger than the cap only admits its trailing
-        ``max_columns`` columns (a prefetch hint cannot overrun the
-        cap); single-column fetches are always resident afterwards.
+        eviction needed to make room).
         """
         js = np.asarray(js, dtype=np.intp)
         missing = [int(j) for j in js if int(j) not in self._slot_of]
@@ -218,12 +226,6 @@ class ColumnBlockCache:
         if missing:
             # dict.fromkeys: dedup while preserving order.
             missing = list(dict.fromkeys(missing))
-            if self.max_columns is not None and len(missing) > self.max_columns:
-                # A miss batch larger than the cap can never be fully
-                # resident: keep only the trailing max_columns (most
-                # recently requested) and never compute the rest — the
-                # cap bounds work-per-batch as well as storage.
-                missing = missing[-self.max_columns :]
             block = self.oracle.columns(
                 np.asarray(missing, dtype=np.intp),
                 self.rows,
@@ -231,8 +233,8 @@ class ColumnBlockCache:
             )
             self._admit(missing, block.T)
         for j in js:
-            # Only resident columns enter the recency order (a capped
-            # admit may have dropped part of an oversized batch).
+            # Only resident columns enter the recency order (making room
+            # under the budget may have evicted a column this batch hit).
             if int(j) in self._slot_of:
                 self._touch(int(j))
 
@@ -264,6 +266,7 @@ class ColumnBlockCache:
             )
             self._free = list(range(self._buf.shape[0]))
         self.rows = self.rows[positions]
+        self._row_block = None
         if freed:
             self.oracle.release_stored(freed)
 
@@ -365,6 +368,7 @@ class ColumnBlockCache:
                     (new_rows.size, 0), dtype=np.float64
                 )
         self.rows = np.concatenate([self.rows, new_rows])
+        self._row_block = None
         return fetched
 
     # ------------------------------------------------------------------
@@ -398,8 +402,7 @@ class ColumnBlockCache:
     def _admit(self, js: list[int], columns: np.ndarray) -> None:
         """Insert freshly computed columns (rows of *columns*) as a batch."""
         needed = len(js) * self.n_rows
-        protected = set(js)
-        self._make_room(needed, protected)
+        self._make_room(needed)
         self.oracle.charge_stored(needed)
         for j, column in zip(js, columns):
             slot = self._take_slot()
@@ -407,28 +410,12 @@ class ColumnBlockCache:
             self._slot_of[j] = slot
             self._touch(j)
 
-    def _make_room(self, needed: int, protected: set[int]) -> None:
-        """Evict LRU columns until *needed* new entries fit the limits."""
-        headroom = self.oracle.headroom()
-        if headroom is not None:
-            while needed > self.oracle.headroom() and self.n_columns:
-                victim = next(
-                    (j for j in self._use if j not in protected), None
-                )
-                if victim is None:
-                    break
-                self.evict(victim)
-        if self.max_columns is not None:
-            while (
-                self.n_columns + len(protected) > self.max_columns
-                and self.n_columns
-            ):
-                victim = next(
-                    (j for j in self._use if j not in protected), None
-                )
-                if victim is None:
-                    break
-                self.evict(victim)
+    def _make_room(self, needed: int) -> None:
+        """Evict LRU columns until *needed* new entries fit the budget."""
+        if self.oracle.headroom() is None:
+            return
+        while self.n_columns and needed > self.oracle.headroom():
+            self.evict(next(iter(self._use)))
 
     def _take_slot(self) -> int:
         if self._free:

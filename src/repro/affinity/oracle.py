@@ -21,6 +21,7 @@ that try to hold too many entries at once raise
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -186,6 +187,7 @@ class AffinityOracle:
         rows: np.ndarray,
         *,
         assume_valid: bool = False,
+        row_block: tuple[np.ndarray, np.ndarray] | None = None,
     ) -> np.ndarray:
         """Batched affinity columns ``A[rows, js]`` in one kernel block.
 
@@ -198,16 +200,76 @@ class AffinityOracle:
         ``assume_valid=True`` skips index validation for trusted callers
         on the hot path (the LID column cache validates its row set once
         at construction).
+
+        ``row_block`` is what :meth:`row_block` returned for the same
+        *rows*, held by a caller that evaluates many single columns over
+        one row set (the LID column cache's misses).  A single column
+        then runs on that block: one ``(m, d) @ (d, 1)`` product and the
+        elementwise steps of the p = 2 distance, with neither the row
+        gather nor the row norms of the block path.  Every step is the
+        one the block path performs on the same operand shapes, so the
+        column is bit-identical to ``columns([j], rows)``.
         """
         if not assume_valid:
             js = check_index_array(js, self.n, name="js")
             rows = check_index_array(rows, self.n, name="rows")
-        dists = pairwise_distances(self.data[rows], self.data[js], p=self.kernel.p)
-        out = self.kernel.affinity_from_distance(dists, out=dists)
-        same = rows[:, None] == js[None, :]
-        out[same] = 0.0
+        if row_block is not None and js.size == 1:
+            out = self._column_from_rows(int(js[0]), rows, *row_block)
+        else:
+            dists = pairwise_distances(
+                self.data[rows], self.data[js], p=self.kernel.p
+            )
+            out = self.kernel.affinity_from_distance(dists, out=dists)
+            same = rows[:, None] == js[None, :]
+            out[same] = 0.0
         self.counters.column_requests += len(js)
         self.counters.charge(computed=out.size)
+        return out
+
+    def row_block(
+        self, rows: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray] | None:
+        """The row operand of repeated single-column evaluations.
+
+        ``(data[rows], squared norms of those rows)`` for the paper's
+        p = 2 kernel, to pass to :meth:`columns` as ``row_block`` while
+        the row set stays *rows*; None for other norms, whose columns
+        always take the block path.  The block is data, not affinity
+        storage: holding it charges nothing.
+        """
+        if self.kernel.p != 2.0:
+            return None
+        return self.data[rows], self._sqnorms[rows]
+
+    @cached_property
+    def _sqnorms(self) -> np.ndarray:
+        """Squared norm of every item, computed on first use.
+
+        The ``xx``/``yy`` einsum of :func:`pairwise_distances` (p = 2).
+        Each row's sum runs on its own, so a row's norm has the same bits
+        here as in any gathered block, which keeps a held-block column
+        bit-identical to a block fetch of it.
+        """
+        return np.einsum("ij,ij->i", self.data, self.data)
+
+    def _column_from_rows(
+        self, j: int, rows: np.ndarray, x: np.ndarray, xx: np.ndarray
+    ) -> np.ndarray:
+        """``A[rows, j]`` as an ``(m, 1)`` array from a held row block.
+
+        :func:`~repro.affinity.kernel.pairwise_distances`' p = 2 steps
+        for one column, ``(xx + yy) - 2 x y'``, clip, sqrt, then the
+        kernel's ``exp(-k d)`` and the zeroed self entry.
+        """
+        y = self.data[j : j + 1]
+        sq = xx[:, None] + self._sqnorms[j]
+        twice = x @ y.T
+        twice *= 2.0
+        sq -= twice
+        np.maximum(sq, 0.0, out=sq)
+        np.sqrt(sq, out=sq)
+        out = self.kernel.affinity_from_distance(sq, out=sq)
+        out[rows == j] = 0.0
         return out
 
     def point_block(

@@ -10,10 +10,12 @@ matrix: it maintains
 * a cache of affinity columns ``A[beta, j]`` (paper Fig. 3's green
   columns), fetched on demand through the instrumented oracle and charged
   to the simulated-memory accounting.  The cache is the matrix-backed LRU
-  :class:`~repro.affinity.cache.ColumnBlockCache`: misses are fetched as
-  one BLAS block, local-range changes are single fancy-index operations,
-  and under a storage budget the least-recently-used columns are evicted
-  instead of aborting the run.
+  :class:`~repro.affinity.cache.ColumnBlockCache`: a miss evaluates only
+  the selected column, one matrix-vector product over the row block
+  ``data[beta]`` the cache holds from the range's first miss, local-range
+  changes are single fancy-index operations, and under a storage budget
+  the least-recently-used columns are evicted instead of aborting the
+  run.
 
 Per iteration: O(|beta|) arithmetic plus at most one new column of kernel
 evaluations — exactly the paper's claimed cost.  The iteration loop
@@ -52,8 +54,6 @@ class LIDState:
         beta: np.ndarray,
         x: np.ndarray,
         g: np.ndarray,
-        *,
-        max_cached_columns: int | None = None,
     ):
         self.oracle = oracle
         self.beta = check_index_array(beta, oracle.n, name="beta", allow_empty=False)
@@ -66,9 +66,7 @@ class LIDState:
                 f"x/g must align with beta: beta={self.beta.shape}, "
                 f"x={self.x.shape}, g={self.g.shape}"
             )
-        self._cache = ColumnBlockCache(
-            oracle, self.beta, max_columns=max_cached_columns
-        )
+        self._cache = ColumnBlockCache(oracle, self.beta)
 
     # ------------------------------------------------------------------
     # constructors

@@ -50,15 +50,15 @@ Implementation notes
   per-seed noise pre-filter, reading only the seed's ``l`` buckets),
   :meth:`LSHIndex.colliding_mask` (the same test for every item at
   once), :meth:`LSHIndex.collision_components` (the ingest tier's
-  re-peel units) and :meth:`LSHIndex.query_items_grouped` (one gather
-  serving a PALID seed cohort's CIVS queries).
+  re-peel units: the components holding given items, grown by a search
+  through the CSR from those items alone) and
+  :meth:`LSHIndex.query_items_grouped` (one gather serving a PALID seed
+  cohort's CIVS queries).
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
 from repro.exceptions import ValidationError
 from repro.lsh.hashing import PStableHashFamily
@@ -895,8 +895,8 @@ class LSHIndex:
         has_companion = (populations[self._item_buckets] >= 2).any(axis=0)
         return self._active & has_companion
 
-    def collision_components(self) -> np.ndarray:
-        """Connected components of the active collision graph.
+    def collision_components(self, items: np.ndarray) -> np.ndarray:
+        """Active items of the collision components that contain *items*.
 
         Two active items are connected when they share a bucket in any
         table; components are the transitive closure.  A seeded Alg. 2
@@ -906,31 +906,32 @@ class LSHIndex:
         invariant the ingest tier uses to re-peel only dirty
         components.
 
+        The components are grown by a search from *items* through the
+        CSR: each round gathers the frontier's unseen buckets, then
+        their unseen active members, until no new item appears.  Beyond
+        zeroing one flag per item and per bucket, the cost follows the
+        components found, not the index size.
+
         Returns
         -------
         numpy.ndarray
-            ``int64`` labels of length ``n``; inactive items get -1.
-            Label values are arbitrary but consistent within one call.
+            Sorted global indices of every active item in a component
+            holding one of *items*.  An inactive item belongs to no
+            component and adds nothing.
         """
-        n = self.n
-        labels = np.full(n, -1, dtype=np.int64)
-        active_items = np.flatnonzero(self._active)
-        if active_items.size == 0:
-            return labels
-        populations = self.active_bucket_populations()
-        item_buckets = self._item_buckets[:, active_items]  # (l, m)
-        # Only buckets holding >= 2 active members can connect items.
-        useful = populations[item_buckets] >= 2
-        rows = np.broadcast_to(active_items, item_buckets.shape)[useful]
-        cols = item_buckets[useful] + n
-        n_nodes = n + int(self._g_lengths.size)
-        bipartite = csr_matrix(
-            (np.ones(rows.size, dtype=np.int8), (rows, cols)),
-            shape=(n_nodes, n_nodes),
-        )
-        _, component = connected_components(bipartite, directed=False)
-        labels[active_items] = component[active_items]
-        return labels
+        items = check_index_array(items, self.n, name="items")
+        seen_items = np.zeros(self.n, dtype=bool)
+        seen_buckets = np.zeros(self._g_lengths.size, dtype=bool)
+        frontier = sorted_unique(items[self._active[items]])
+        while frontier.size:
+            seen_items[frontier] = True
+            buckets = self._item_buckets[:, frontier]
+            buckets = sorted_unique(buckets[~seen_buckets[buckets]])
+            seen_buckets[buckets] = True
+            members = self._gather_buckets(buckets)
+            members = members[self._active[members] & ~seen_items[members]]
+            frontier = sorted_unique(members)
+        return np.flatnonzero(seen_items)
 
     def item_bucket_sizes(
         self, table: int = 0, *, active_only: bool = False

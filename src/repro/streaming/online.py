@@ -195,11 +195,7 @@ class StreamingALID:
             leftover = new_indices[~self._assigned[new_indices]]
             dirty = leftover
             if leftover.size:
-                # Leftovers are active, so each has a component label.
-                components = self._index.collision_components()
-                dirty = np.flatnonzero(
-                    np.isin(components, components[leftover])
-                )
+                dirty = self._index.collision_components(leftover)
                 self.discover(dirty)
         return self._snapshot(
             clock[0],

@@ -14,6 +14,8 @@ import signal
 
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 
 from repro.affinity.kernel import LaplacianKernel
 from repro.affinity.oracle import AffinityOracle
@@ -171,3 +173,34 @@ def assert_lsh_csr_matches_reference(index) -> None:
             bucket += 1
     assert index._g_keys.size == index._g_lengths.size == bucket
     assert index._table_bucket_base[l] == bucket
+
+
+def lsh_reference_components(index, items) -> np.ndarray:
+    """Active items of the collision components holding *items*.
+
+    An independent reference for
+    :meth:`repro.lsh.index.LSHIndex.collision_components`: it labels the
+    whole active collision graph (a sparse item-bucket matrix over every
+    active item and every bucket with >= 2 active members, then
+    ``connected_components``) and keeps the components of the active
+    *items*.
+    """
+    n = index.n
+    active = np.flatnonzero(index.active_mask)
+    items = np.asarray(items, dtype=np.intp)
+    items = items[index.active_mask[items]]
+    if items.size == 0:
+        return np.empty(0, dtype=np.intp)
+    populations = index.active_bucket_populations()
+    item_buckets = index._item_buckets[:, active]
+    useful = populations[item_buckets] >= 2
+    rows = np.broadcast_to(active, item_buckets.shape)[useful]
+    cols = item_buckets[useful] + n
+    n_nodes = n + populations.size
+    bipartite = csr_matrix(
+        (np.ones(rows.size, dtype=np.int8), (rows, cols)),
+        shape=(n_nodes, n_nodes),
+    )
+    _, labels = connected_components(bipartite, directed=False)
+    found = np.isin(labels[:n], labels[items])
+    return np.flatnonzero(found & index.active_mask)

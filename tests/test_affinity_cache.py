@@ -144,15 +144,6 @@ class TestEviction:
             cache.get(1)
         assert oracle.counters.entries_stored_current >= 18
 
-    def test_max_columns_cap(self, blob_data, rows):
-        oracle = make_oracle(blob_data)
-        cache = ColumnBlockCache(oracle, rows, max_columns=2)
-        cache.get(1)
-        cache.get(2)
-        cache.get(3)
-        assert cache.n_columns == 2
-        assert 1 not in cache
-
     def test_restrict_after_evicting_every_column_then_refetch(
         self, blob_data, rows
     ):
@@ -168,25 +159,6 @@ class TestEviction:
         cache.restrict_rows(keep)
         col = cache.get(3)
         assert np.allclose(col, reference.column(3, rows=rows[keep]))
-
-    def test_oversized_miss_batch_respects_max_columns(self, blob_data, rows):
-        """Regression: a miss batch larger than max_columns blew
-        through the cap (all candidates were eviction-protected)."""
-        oracle = make_oracle(blob_data)
-        cache = ColumnBlockCache(oracle, rows, max_columns=2)
-        cache.ensure(np.asarray([1, 2, 3, 4]))
-        assert cache.n_columns == 2
-        # The trailing (most recently requested) columns won.
-        assert 3 in cache and 4 in cache
-        # Work was bounded too: only the admitted columns were computed.
-        assert oracle.counters.entries_computed == 2 * rows.size
-        # Single-column fetches are always resident afterwards.
-        assert np.allclose(cache.get(1), cache.peek(1))
-
-    def test_max_columns_must_be_positive(self, blob_data, rows):
-        oracle = make_oracle(blob_data)
-        with pytest.raises(ValueError, match="max_columns"):
-            ColumnBlockCache(oracle, rows, max_columns=0)
 
     def test_extend_rows_evicts_lru_rather_than_overflow(self, blob_data, rows):
         # 3 columns x 10 rows = 30 held; extending by 5 rows each would
@@ -271,3 +243,104 @@ class TestFusedExtend:
         )
         assert block.shape == (0, 1)
         assert cache.extend_rows(np.asarray([], dtype=np.intp)) is None
+
+
+def _scripted_run(oracle, check_miss=None):
+    """Drive a cache through misses, hits, row changes and evictions.
+
+    Calls ``check_miss(cache, j, column)`` after every miss, and returns
+    what the accounting contract pins: the oracle counters, the cache's
+    tallies, its LRU order and every resident column.
+    """
+    rows = np.arange(0, 40, 3, dtype=np.intp)
+    cache = ColumnBlockCache(oracle, rows)
+
+    c = oracle.counters
+
+    def get(j):
+        miss = j not in cache
+        before = (c.entries_computed, c.column_requests, cache.hits, cache.misses)
+        column = cache.get(j).copy()
+        after = (c.entries_computed, c.column_requests, cache.hits, cache.misses)
+        step = (cache.n_rows, 1, 0, 1) if miss else (0, 0, 1, 0)
+        assert tuple(a - b for a, b in zip(after, before)) == step
+        assert c.entries_stored_current == cache.cached_entries()
+        if miss and check_miss is not None:
+            check_miss(cache, j, column)
+
+    for j in (3, 6, 3, 50, 6, 9, 12):
+        get(j)
+    cache.restrict_rows(np.asarray([0, 2, 3, 5, 7, 8], dtype=np.intp))
+    for j in (6, 15, 21, 57, 15):
+        get(j)
+    cache.extend_rows(np.asarray([41, 44, 47], dtype=np.intp))
+    for j in (41, 6, 44, 1):
+        get(j)
+    cache.extend_rows(
+        np.asarray([50, 53], dtype=np.intp),
+        fetch_cols=np.asarray([41, 2, 47], dtype=np.intp),
+    )
+    for j in (50, 2, 53, 6, 44, 21, 59):
+        get(j)
+    cache.evict(int(cache.column_ids()[-1]))
+    for j in (47, 21, 50):
+        get(j)
+    cache.release_all()
+    for j in (53, 6):
+        get(j)
+    cache.restrict_rows(np.asarray([1], dtype=np.intp))
+    for j in (int(cache.rows[0]), 58, 6):
+        get(j)
+    return (
+        c.entries_computed,
+        c.column_requests,
+        c.entries_stored_current,
+        c.entries_stored_peak,
+        (cache.hits, cache.misses, cache.evictions),
+        cache.column_ids().tolist(),
+        [cache.peek(j).tobytes() for j in cache.column_ids()],
+    )
+
+
+class TestHeldRowBlock:
+    """A miss over the held row block equals the generic block fetch."""
+
+    @pytest.fixture(
+        params=[(2.0, 1), (2.0, 7), (2.0, 32), (1.0, 7)],
+        ids=["p2-d1", "p2-d7", "p2-d32", "p1-d7"],
+    )
+    def substrate(self, request):
+        p, d = request.param
+        data = np.random.default_rng(d).normal(size=(60, d))
+        return data, LaplacianKernel(k=0.3, p=p)
+
+    @pytest.mark.parametrize("budget", [None, 70])
+    def test_scripted_misses_match_block_fetch(self, substrate, budget):
+        data, kernel = substrate
+        held = []
+
+        def check(cache, j, column):
+            fresh = AffinityOracle(data, kernel)
+            want = fresh.columns(np.asarray([j]), cache.rows)[:, 0]
+            assert column.tobytes() == want.tobytes()
+            held.append(cache._row_block is not None)
+
+        got = _scripted_run(
+            AffinityOracle(data, kernel, budget_entries=budget), check
+        )
+        generic = AffinityOracle(data, kernel, budget_entries=budget)
+        generic.row_block = lambda rows: None  # every miss: block path
+        assert got == _scripted_run(generic)
+        assert all(held) if kernel.p == 2.0 else not any(held)
+        if budget is not None:
+            assert got[4][2] > 0  # the script evicted under the budget
+
+    def test_column_outside_rows_zeroes_nothing(self, blob_data, rows):
+        oracle = make_oracle(blob_data)
+        cache = ColumnBlockCache(oracle, rows)
+        cache.get(2)  # gathers the row block
+        column = cache.get(45)
+        assert (column > 0.0).all()
+        want = make_oracle(blob_data).columns(np.asarray([45]), rows)[:, 0]
+        assert column.tobytes() == want.tobytes()
+        assert cache.get(2)[2] == 0.0

@@ -133,6 +133,7 @@ class TestExactCounts:
             "seed_rounds": 10,
             "noise_prefiltered": 310,
             "lid_runs": 9,
+            "column_requests": 1666,
         },
         "lsh_batch_tiny": {"candidates_returned": 10160},
     }
@@ -150,6 +151,7 @@ class TestExactCounts:
             ("alid_tiny", "noise_prefiltered"),
             ("alid_tiny", "lid_runs"),
             ("alid_tiny", "seed_rounds"),
+            ("alid_tiny", "column_requests"),
         ],
     )
     @pytest.mark.parametrize("step", [-1, 1])

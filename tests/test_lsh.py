@@ -14,6 +14,7 @@ from repro.lsh.params import (
 from tests.conftest import (
     LSH_CSR_ARRAYS,
     assert_lsh_csr_matches_reference,
+    lsh_reference_components,
     lsh_reference_keys,
 )
 
@@ -351,23 +352,58 @@ class TestCollisionStructure:
             assert mask[i] == expected
 
     def test_components_closed_under_collision(self, small_index):
-        comp = small_index.collision_components()
-        assert (comp[small_index.active_mask] >= 0).all()
         for i in range(small_index.n):
-            for j in small_index.query_item(i):
-                assert comp[i] == comp[int(j)]
+            comp = small_index.collision_components(np.asarray([i]))
+            assert i in comp
+            assert set(small_index.query_item(i).tolist()) <= set(comp.tolist())
+            assert np.array_equal(
+                comp, lsh_reference_components(small_index, [i])
+            )
 
     def test_isolated_items_are_singleton_components(self, small_index):
-        comp = small_index.collision_components()
         mask = small_index.colliding_mask()
         isolated = np.flatnonzero(small_index.active_mask & ~mask)
+        assert isolated.size
         for i in isolated:
-            assert (comp == comp[i]).sum() == 1
+            comp = small_index.collision_components(np.asarray([i]))
+            assert comp.tolist() == [i]
 
     def test_inactive_items_unlabelled(self, small_index):
         small_index.deactivate(np.arange(0, 10))
-        comp = small_index.collision_components()
-        assert (comp[:10] == -1).all()
+        assert small_index.collision_components(np.arange(10)).size == 0
+        everything = small_index.collision_components(
+            np.arange(small_index.n)
+        )
+        assert np.array_equal(
+            everything, np.flatnonzero(small_index.active_mask)
+        )
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_search_matches_whole_graph_labeling(self, seed):
+        """Random item sets, after peeling and inserts, match the reference."""
+        rng = np.random.default_rng(seed)
+        centers = rng.uniform(-20, 20, size=(6, 5))
+        data = np.vstack(
+            [c + rng.normal(scale=0.4, size=(30, 5)) for c in centers]
+            + [rng.uniform(-25, 25, size=(60, 5))]
+        )
+        index = LSHIndex(data, r=3.0, n_projections=8, n_tables=12, seed=seed)
+        for step in range(4):
+            index.deactivate(rng.choice(index.n, size=25, replace=False))
+            for size in (1, 3, 20):
+                items = rng.choice(index.n, size=size, replace=False)
+                assert np.array_equal(
+                    index.collision_components(items),
+                    lsh_reference_components(index, items),
+                )
+            index.insert(
+                data[rng.choice(data.shape[0], size=15)]
+                + rng.normal(scale=0.2, size=(15, 5))
+            )
+
+    def test_items_out_of_range_rejected(self, small_index):
+        with pytest.raises(ValidationError):
+            small_index.collision_components(np.asarray([small_index.n]))
 
     def test_bucket_populations_sum(self, small_index):
         populations = small_index.active_bucket_populations()

@@ -9,6 +9,7 @@ from repro.eval.metrics import average_f1
 from repro.exceptions import ValidationError
 from repro.lsh.index import LSHIndex
 from repro.streaming import StreamingALID
+from tests.conftest import lsh_reference_components
 
 
 class TestLSHInsert:
@@ -359,10 +360,9 @@ class TestOneIngestStep:
         original = StreamingALID.discover
 
         def spy(stream, indices):
-            components = stream._index.collision_components()
             new = np.arange(spy.n_before, stream.n_items)
             leftover = new[~stream.assigned_mask[new]]
-            want = np.flatnonzero(np.isin(components, components[leftover]))
+            want = lsh_reference_components(stream._index, leftover)
             calls.append((np.asarray(indices).copy(), want))
             return original(stream, indices)
 

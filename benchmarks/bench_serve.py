@@ -230,9 +230,11 @@ def bench_ingest(size_key: str, scratch: pathlib.Path) -> dict:
     batch publishes a :class:`~repro.serve.snapshot.SnapshotDelta`,
     which is then hot-applied to a live
     :class:`~repro.serve.service.ClusterService`.  ``entries_computed``
-    — total affinity work over the whole stream — is deterministic for
-    the fixed seed and gated against the committed baseline; sizes and
-    wall clocks are informational.
+    — total affinity work over the whole stream — and
+    ``column_requests`` — its affinity columns, misses and prefetches
+    alike — are deterministic for the fixed seed and gated against the
+    committed baseline (the first within 10%, the second exactly);
+    sizes and wall clocks are informational.
     """
     data = _make_data(size_key)
     n = data.shape[0]
@@ -267,9 +269,7 @@ def bench_ingest(size_key: str, scratch: pathlib.Path) -> dict:
         service.stream.to_snapshot().save(full_dir)
         full_bytes = _dir_bytes(full_dir)
         stats = service.stats()
-        entries = int(
-            service.stream.result().counters.entries_computed
-        )
+        counters = service.stream.result().counters
     finally:
         if serving is not None:
             serving.close()
@@ -285,7 +285,8 @@ def bench_ingest(size_key: str, scratch: pathlib.Path) -> dict:
         "absorbed": int(absorbed),
         "ingest_wall_seconds": round(ingest_wall, 4),
         "points_per_second": round(n / ingest_wall, 1),
-        "entries_computed": entries,
+        "entries_computed": int(counters.entries_computed),
+        "column_requests": int(counters.column_requests),
         "base_mb": round(_dir_bytes(chain_root / "base") / 1e6, 3),
         "full_snapshot_mb": round(full_bytes / 1e6, 3),
         "delta_mb_mean": round(

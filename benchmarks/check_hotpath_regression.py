@@ -13,10 +13,11 @@ work accounting regresses:
 * the deterministic retrieval, peeling and column counts
   (``candidates_returned`` of the ``lsh_batch_*`` lanes;
   ``noise_prefiltered``, ``lid_runs``, ``seed_rounds`` and
-  ``column_requests`` of the ``alid_*`` lanes) must equal the baseline
+  ``column_requests`` of the ``alid_*`` lanes; ``column_requests`` of
+  ``BENCH_serve.json``'s ``ingest_tiny`` lane) must equal the baseline
   exactly — a dedup or pre-filter change that drops a candidate or
-  misclassifies a seed, or a LID miss path that counts a column
-  differently, moves one of them, in either direction;
+  misclassifies a seed, or a LID miss path or prefetch that counts a
+  column differently, moves one of them, in either direction;
 * a workload present in the baseline but missing from the current
   report fails (the gate must not silently narrow);
 * a workload reporting any of the zero-tolerance booleans

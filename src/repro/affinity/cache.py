@@ -6,16 +6,18 @@ Fig. 3's green columns).  The original implementation kept them in a
 one Python-level concatenate per local-range change.  This cache keeps
 every cached column as one row of a single 2-D buffer, so
 
-* a miss in :meth:`ColumnBlockCache.get` evaluates only ``A[rows, j]``:
+* a miss in :meth:`ColumnBlockCache.get` evaluates only ``A[rows, j]``,
+  and a batch of missing columns (:meth:`ColumnBlockCache.ensure`, the
+  streaming tier's prefetch of a whole local range) only those columns:
   the cache holds the row block ``data[rows]`` and its squared norms
-  from the row set's first miss
-  (:meth:`~repro.affinity.oracle.AffinityOracle.row_block`), so each
-  miss is one matrix-vector product plus elementwise steps in the
-  oracle's single-column branch of
-  :meth:`~repro.affinity.oracle.AffinityOracle.columns`, bit-identical
-  to a block fetch of that column, admitted into one slot;
-* a batch of missing columns (:meth:`ColumnBlockCache.ensure`) is
-  fetched with **one** BLAS-backed block evaluation,
+  from the row set's first fetch
+  (:meth:`~repro.affinity.oracle.AffinityOracle.row_block`), and the
+  oracle's held-block branch of
+  :meth:`~repro.affinity.oracle.AffinityOracle.columns` evaluates each
+  column on it as one matrix-vector product plus elementwise steps,
+  bit-identical to a block fetch of that column alone, so a prefetched
+  column equals the miss it replaces; a fetch is admitted with one
+  buffer write,
 * a local-range restriction is **one** fancy-index over the buffer, and
 * a local-range extension fetches the new rows of *every* cached column
   with one block call instead of one oracle call per column.
@@ -76,9 +78,9 @@ class ColumnBlockCache:
         self._free: list[int] = []
         # Insertion order tracks recency: first key = least recently used.
         self._use: dict[int, None] = {}
-        # The oracle's row operand for single-column misses over `rows`,
-        # gathered by the first miss and dropped when `rows` changes
-        # (None for a kernel without a single-column branch).
+        # The oracle's row operand for column fetches over `rows`,
+        # gathered by the first fetch and dropped when `rows` changes
+        # (None for a kernel without a held-block branch).
         self._row_block: tuple[np.ndarray, np.ndarray] | None = None
 
     # ------------------------------------------------------------------
@@ -147,23 +149,20 @@ class ColumnBlockCache:
         """Replay accesses: mark each column in *js* most recently used.
 
         The batched form of the per-:meth:`get` recency update, used by
-        the run-until-miss LID kernels to restore the exact LRU order
-        the reference loop would have produced before anything (an
-        eviction decision, a later run) reads it.  Non-resident ids are
-        ignored — a recorded hit can refer to a column that a later
-        miss already evicted, and touching it must not resurrect a
-        phantom entry.
+        the run-until-miss LID loop to restore the exact LRU order the
+        reference loop would have produced before anything (an eviction
+        decision, a later run) reads it.  The caller tallies the hits it
+        served (:attr:`hits`); a replay touches each column once, so it
+        cannot count them.  Non-resident ids are ignored: touching one
+        must not resurrect a phantom entry.
         """
         use = self._use
         slot_of = self._slot_of
-        hits = 0
         for j in js:
             j = int(j)
             if j in slot_of:
-                hits += 1
                 use.pop(j, None)
                 use[j] = None
-        self.hits += hits
 
     # ------------------------------------------------------------------
     # lookup / fetch
@@ -197,15 +196,7 @@ class ColumnBlockCache:
         slot = self._slot_of.get(j)
         if slot is None:
             self.misses += 1
-            if self._row_block is None:
-                self._row_block = self.oracle.row_block(self.rows)
-            column = self.oracle.columns(
-                np.asarray([j], dtype=np.intp),
-                self.rows,
-                assume_valid=True,
-                row_block=self._row_block,
-            )
-            self._admit([j], column.T)
+            self._fetch([j])
             slot = self._slot_of[j]
         else:
             self.hits += 1
@@ -215,28 +206,26 @@ class ColumnBlockCache:
     def ensure(self, js: np.ndarray) -> None:
         """Make every column in *js* resident, batching the misses.
 
-        All missing columns are computed with a single oracle block
-        call, charged to storage in one transaction (after any LRU
-        eviction needed to make room).
+        All missing columns are computed with one oracle call over the
+        held row block, each bit-identical to a :meth:`get` miss of it,
+        and charged to storage in one transaction (after any LRU
+        eviction needed to make room).  When that evicts nothing, the
+        tallies and the recency order are those of calling :meth:`get`
+        on each id of *js* in turn: a repeated id is a hit.
         """
-        js = np.asarray(js, dtype=np.intp)
-        missing = [int(j) for j in js if int(j) not in self._slot_of]
+        js = np.asarray(js, dtype=np.intp).tolist()
+        slot_of = self._slot_of
+        # dict.fromkeys: dedup while preserving order.
+        missing = list(dict.fromkeys(j for j in js if j not in slot_of))
         self.misses += len(missing)
-        self.hits += int(js.size) - len(missing)
+        self.hits += len(js) - len(missing)
         if missing:
-            # dict.fromkeys: dedup while preserving order.
-            missing = list(dict.fromkeys(missing))
-            block = self.oracle.columns(
-                np.asarray(missing, dtype=np.intp),
-                self.rows,
-                assume_valid=True,
-            )
-            self._admit(missing, block.T)
+            self._fetch(missing)
         for j in js:
             # Only resident columns enter the recency order (making room
             # under the budget may have evicted a column this batch hit).
-            if int(j) in self._slot_of:
-                self._touch(int(j))
+            if j in slot_of:
+                self._touch(j)
 
     # ------------------------------------------------------------------
     # row-set maintenance (the beta <- alpha / beta <- alpha U psi steps)
@@ -399,14 +388,43 @@ class ColumnBlockCache:
         self._use.pop(j, None)
         self._use[j] = None
 
+    def _fetch(self, js: list[int]) -> None:
+        """Evaluate the non-resident columns *js* and admit them."""
+        if self._row_block is None:
+            self._row_block = self.oracle.row_block(self.rows)
+        block = self.oracle.columns(
+            np.asarray(js, dtype=np.intp),
+            self.rows,
+            assume_valid=True,
+            row_block=self._row_block,
+        )
+        self._admit(js, block.T)
+
     def _admit(self, js: list[int], columns: np.ndarray) -> None:
         """Insert freshly computed columns (rows of *columns*) as a batch."""
         needed = len(js) * self.n_rows
         self._make_room(needed)
         self.oracle.charge_stored(needed)
-        for j, column in zip(js, columns):
-            slot = self._take_slot()
-            self._buf[slot, : self.n_rows] = column
+        free = self._free
+        short = len(js) - len(free)
+        if short > 0:
+            # Grow the slot buffer geometrically, once for the batch.
+            old = self._buf.shape[0]
+            grown = np.empty(
+                (max(4, 2 * old, old + short), self._buf.shape[1]),
+                dtype=np.float64,
+            )
+            grown[:old] = self._buf
+            self._buf = grown
+            free.extend(range(grown.shape[0] - 1, old - 1, -1))
+        cut = len(free) - len(js)
+        slots = free[cut:]
+        del free[cut:]
+        # One write for the batch.  A lone column (every LID miss) takes
+        # the basic index, a fifth of the fancy index's cost.
+        index = slots[0] if len(slots) == 1 else slots
+        self._buf[index, : self.n_rows] = columns
+        for j, slot in zip(js, slots):
             self._slot_of[j] = slot
             self._touch(j)
 
@@ -416,15 +434,3 @@ class ColumnBlockCache:
             return
         while self.n_columns and needed > self.oracle.headroom():
             self.evict(next(iter(self._use)))
-
-    def _take_slot(self) -> int:
-        if self._free:
-            return self._free.pop()
-        # Grow the slot buffer geometrically.
-        old_capacity = self._buf.shape[0]
-        new_capacity = max(4, 2 * old_capacity)
-        grown = np.empty((new_capacity, self._buf.shape[1]), dtype=np.float64)
-        grown[:old_capacity] = self._buf
-        self._buf = grown
-        self._free.extend(range(old_capacity + 1, new_capacity))
-        return old_capacity

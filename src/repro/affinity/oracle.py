@@ -189,32 +189,46 @@ class AffinityOracle:
         assume_valid: bool = False,
         row_block: tuple[np.ndarray, np.ndarray] | None = None,
     ) -> np.ndarray:
-        """Batched affinity columns ``A[rows, js]`` in one kernel block.
+        """Batched affinity columns ``A[rows, js]``, shape ``(m, k)``.
 
-        The BLAS-backed batch form of :meth:`column`: one
-        ``(len(rows), len(js))`` evaluation replaces ``len(js)``
+        The batch form of :meth:`column`: one call replaces ``len(js)``
         separate column calls, with identical work accounting (each
         entry is charged exactly once, and every requested column still
-        counts as a column request).
+        counts as a column request).  Without ``row_block`` it is one
+        BLAS-backed ``(len(rows), len(js))`` block evaluation.
 
         ``assume_valid=True`` skips index validation for trusted callers
         on the hot path (the LID column cache validates its row set once
         at construction).
 
         ``row_block`` is what :meth:`row_block` returned for the same
-        *rows*, held by a caller that evaluates many single columns over
-        one row set (the LID column cache's misses).  A single column
-        then runs on that block: one ``(m, d) @ (d, 1)`` product and the
-        elementwise steps of the p = 2 distance, with neither the row
-        gather nor the row norms of the block path.  Every step is the
-        one the block path performs on the same operand shapes, so the
-        column is bit-identical to ``columns([j], rows)``.
+        *rows*, held by a caller that evaluates many columns over one
+        row set (the LID column cache).  The columns then run on that
+        block as a stack of matrix-vector products,
+        ``np.matmul(data[rows], data[js][:, :, None])`` (one
+        ``(m, d) @ (d, 1)`` product per column), and the elementwise
+        steps of the p = 2 distance, with neither the row gather nor the
+        row norms of the block path.  Every step is the one the block
+        path performs for a single column, so each column is
+        bit-identical to ``columns([j], rows)`` whatever the number of
+        columns asked for; one ``(m, d) @ (d, k)`` product would round
+        differently in the last bits.
         """
         if not assume_valid:
             js = check_index_array(js, self.n, name="js")
             rows = check_index_array(rows, self.n, name="rows")
-        if row_block is not None and js.size == 1:
-            out = self._column_from_rows(int(js[0]), rows, *row_block)
+        if row_block is not None:
+            x, xx = row_block
+            # Row c of these (k, m) arrays is column js[c].
+            sq = xx + self._sqnorms[js][:, None]
+            twice = np.matmul(x, self.data.take(js, axis=0)[..., None])[..., 0]
+            twice *= 2.0
+            sq -= twice
+            np.maximum(sq, 0.0, out=sq)
+            np.sqrt(sq, out=sq)
+            out = self.kernel.affinity_from_distance(sq, out=sq)
+            out[js[:, None] == rows] = 0.0
+            out = out.T
         else:
             dists = pairwise_distances(
                 self.data[rows], self.data[js], p=self.kernel.p
@@ -229,7 +243,7 @@ class AffinityOracle:
     def row_block(
         self, rows: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray] | None:
-        """The row operand of repeated single-column evaluations.
+        """The row operand of repeated column evaluations over *rows*.
 
         ``(data[rows], squared norms of those rows)`` for the paper's
         p = 2 kernel, to pass to :meth:`columns` as ``row_block`` while
@@ -251,26 +265,6 @@ class AffinityOracle:
         bit-identical to a block fetch of it.
         """
         return np.einsum("ij,ij->i", self.data, self.data)
-
-    def _column_from_rows(
-        self, j: int, rows: np.ndarray, x: np.ndarray, xx: np.ndarray
-    ) -> np.ndarray:
-        """``A[rows, j]`` as an ``(m, 1)`` array from a held row block.
-
-        :func:`~repro.affinity.kernel.pairwise_distances`' p = 2 steps
-        for one column, ``(xx + yy) - 2 x y'``, clip, sqrt, then the
-        kernel's ``exp(-k d)`` and the zeroed self entry.
-        """
-        y = self.data[j : j + 1]
-        sq = xx[:, None] + self._sqnorms[j]
-        twice = x @ y.T
-        twice *= 2.0
-        sq -= twice
-        np.maximum(sq, 0.0, out=sq)
-        np.sqrt(sq, out=sq)
-        out = self.kernel.affinity_from_distance(sq, out=sq)
-        out[rows == j] = 0.0
-        return out
 
     def point_block(
         self, points: np.ndarray, cols: np.ndarray

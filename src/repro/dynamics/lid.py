@@ -20,7 +20,12 @@ matrix: it maintains
 Per iteration: O(|beta|) arithmetic plus at most one new column of kernel
 evaluations — exactly the paper's claimed cost.  The iteration loop
 itself is :func:`repro.dynamics.lid_kernel.run_fused` (run-until-miss
-over the cache's resident block).
+over the cache's resident block).  A run that will ask for nearly every
+column of its range — the streaming tier's re-convergence of a live
+cluster from its converged strategy — first makes the whole range
+resident with :meth:`LIDState.prefetch_columns`: one oracle call whose
+columns are bit-identical to the misses it replaces, after which its
+periods fetch nothing.
 """
 
 from __future__ import annotations
@@ -125,7 +130,12 @@ class LIDState:
         return self._cache.get(int(j_global))
 
     def prefetch_columns(self, js_global: np.ndarray) -> None:
-        """Batch-fetch several columns with one oracle block call."""
+        """Make several columns resident with one oracle call.
+
+        Each column is bit-identical to the miss it replaces
+        (:meth:`~repro.affinity.cache.ColumnBlockCache.ensure`), so a
+        run after the prefetch follows the same iterates.
+        """
         self._cache.ensure(np.asarray(js_global, dtype=np.intp))
 
     def release(self) -> None:

@@ -153,10 +153,15 @@ class _RecencyReplay:
         self.hits: list[int] = []
 
     def flush(self) -> None:
-        """Replay the recorded touches into the cache's LRU order."""
+        """Replay the recorded touches into the cache's LRU order.
+
+        Every recorded period was served from the block, so each one is
+        a cache hit, as the reference loop's :meth:`get` counts it.
+        """
         hits = self.hits
         if not hits:
             return
+        self.cache.hits += len(hits)
         if len(hits) <= 16:
             # Short segment (typical between misses): pure-Python
             # last-occurrence dedupe beats ufunc dispatch.

@@ -9,7 +9,11 @@ Design (an incremental reading of paper Alg. 2):
   are infective against it (``pi(s_j - x, x) > tol``, the Theorem 1
   criterion) trigger a LID re-convergence of that cluster over its old
   support plus the joiners.  Members that lose their weight in the
-  re-converged strategy return to the unassigned pool.
+  re-converged strategy return to the unassigned pool.  A
+  re-convergence starts from a converged strategy and asks for nearly
+  every column of its local range, so it prefetches the whole range in
+  one oracle call (bit-identical to the misses it replaces) instead of
+  taking one LID miss per column.
 * **Discover** — every arrival absorb left unassigned dirties its whole
   LSH collision component (a seeded Alg. 2 run never leaves its seed's
   component), and Alg. 2 runs seeded across the dirty components, in
@@ -19,7 +23,8 @@ Design (an incremental reading of paper Alg. 2):
   touched keep their old outcome and are not re-seeded.
 * **Retire** — expired items (old news, deleted posts) are tombstoned:
   they vanish from every future query and every cluster containing one
-  re-converges over its survivors; clusters that fall below the
+  re-converges over its survivors (the same prefetching
+  re-convergence as absorb); clusters that fall below the
   dominance threshold dissolve back into the pool.
   ``discover(np.arange(n_items))`` re-runs discovery over the whole
   pool, for streams where retirement may have *freed* items to regroup.
@@ -282,14 +287,13 @@ class StreamingALID:
             self._assigned[indices] = False
             self._sync_index_mask()
             oracle = self._make_oracle()
-            engine = self._make_engine(oracle)
             survivors: list[Cluster] = []
             for cluster in self._clusters:
                 hit = self._retired[cluster.members]
                 if not hit.any():
                     survivors.append(cluster)
                     continue
-                refreshed = self._shrink_cluster(engine, cluster)
+                refreshed = self._shrink_cluster(oracle, cluster)
                 if refreshed is not None:
                     survivors.append(refreshed)
             self._clusters = survivors
@@ -297,15 +301,13 @@ class StreamingALID:
         return self._snapshot(clock[0])
 
     def _shrink_cluster(
-        self, engine: ALIDEngine, cluster: Cluster
+        self, oracle: AffinityOracle, cluster: Cluster
     ) -> Cluster | None:
         """Re-converge a cluster after member retirement.
 
         Returns the refreshed cluster, or None when the survivors no
         longer form a dominant cluster (they return to the pool).
         """
-        from repro.dynamics.lid import LIDState, lid_dynamics
-
         cfg = self.config
         keep = ~self._retired[cluster.members]
         members = cluster.members[keep]
@@ -319,16 +321,9 @@ class StreamingALID:
             if total > 0
             else np.full(members.size, 1.0 / members.size)
         )
-        oracle = engine.oracle
-        g = oracle.block(members, members) @ weights
-        state = LIDState(oracle, members.copy(), weights.copy(), g)
-        lid_dynamics(state, max_iter=cfg.max_lid_iterations, tol=cfg.tol)
-        state.restrict_to_support()
-        new_members = state.support_global(cfg.support_tol)
-        positions = state.support_positions(cfg.support_tol)
-        new_weights = state.x[positions].copy()
-        density = state.density()
-        state.release()
+        new_members, new_weights, density = self._reconverge(
+            oracle, members, weights
+        )
         dropped = np.setdiff1d(members, new_members)
         self._assigned[dropped] = False
         if (
@@ -392,7 +387,6 @@ class StreamingALID:
         if not self._clusters or new_indices.size == 0:
             return
         cfg = self.config
-        engine = self._make_engine(oracle)
         updated: list[Cluster] = []
         for cluster in self._clusters:
             fresh = new_indices[~self._assigned[new_indices]]
@@ -410,42 +404,62 @@ class StreamingALID:
             if joiners.size == 0:
                 updated.append(cluster)
                 continue
-            refreshed = self._reconverge(engine, cluster, joiners)
-            updated.append(refreshed)
+            members, weights, density = self._reconverge(
+                oracle, cluster.members, cluster.weights, joiners
+            )
+            # Dropped members go back to the pool; joiners that made it
+            # into the support leave it.
+            dropped = np.setdiff1d(cluster.members, members)
+            self._assigned[dropped] = False
+            self._assigned[members] = True
+            updated.append(
+                Cluster(
+                    members=members,
+                    weights=weights,
+                    density=density,
+                    label=cluster.label,
+                    seed=cluster.seed,
+                )
+            )
         self._clusters = updated
 
     def _reconverge(
-        self, engine: ALIDEngine, cluster: Cluster, joiners: np.ndarray
-    ) -> Cluster:
-        """Re-run Alg. 2 over the cluster's support plus the joiners."""
+        self,
+        oracle: AffinityOracle,
+        members: np.ndarray,
+        weights: np.ndarray,
+        joiners: np.ndarray | None = None,
+    ) -> tuple[np.ndarray, np.ndarray, float]:
+        """LID over a live cluster's *members* plus any *joiners*.
+
+        Starts from the cluster's strategy (the joiners at zero weight)
+        and returns the re-converged ``(members, weights, density)``.
+        A converged strategy re-converging asks for nearly every column
+        of its local range, so the whole range is prefetched in one
+        oracle call over the held row block, bit-identical to the
+        misses it replaces, and the LID loop never leaves the resident
+        block.
+        """
         from repro.dynamics.lid import LIDState, lid_dynamics
 
         cfg = self.config
-        oracle = engine.oracle
-        beta = np.concatenate([cluster.members, joiners])
-        x = np.concatenate([cluster.weights, np.zeros(joiners.size)])
-        g = oracle.block(beta, cluster.members) @ cluster.weights
+        beta, x = members, weights
+        if joiners is not None:
+            beta = np.concatenate([members, joiners])
+            x = np.concatenate([weights, np.zeros(joiners.size)])
+        g = oracle.block(beta, members) @ weights
         state = LIDState(oracle, beta, x, g)
+        state.prefetch_columns(state.beta)
         lid_dynamics(state, max_iter=cfg.max_lid_iterations, tol=cfg.tol)
         state.restrict_to_support()
-        members = state.support_global(cfg.support_tol)
         positions = state.support_positions(cfg.support_tol)
-        weights = state.x[positions].copy()
-        density = state.density()
-        state.release()
-        # Bookkeeping: dropped members go back to the pool; joiners that
-        # made it into the support leave it.
-        dropped = np.setdiff1d(cluster.members, members)
-        self._assigned[dropped] = False
-        self._assigned[members] = True
-        self._sync_index_mask()
-        return Cluster(
-            members=members,
-            weights=weights,
-            density=density,
-            label=cluster.label,
-            seed=cluster.seed,
+        result = (
+            state.beta[positions],
+            state.x[positions].copy(),
+            state.density(),
         )
+        state.release()
+        return result
 
     def _sync_index_mask(self) -> None:
         """Index visibility = unassigned, unretired items only."""

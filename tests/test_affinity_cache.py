@@ -246,33 +246,51 @@ class TestFusedExtend:
 
 
 def _scripted_run(oracle, check_miss=None):
-    """Drive a cache through misses, hits, row changes and evictions.
+    """Drive a cache through misses, batches, row changes and evictions.
 
-    Calls ``check_miss(cache, j, column)`` after every miss, and returns
-    what the accounting contract pins: the oracle counters, the cache's
-    tallies, its LRU order and every resident column.
+    Calls ``check_miss(cache, j, column)`` for every column a ``get``
+    miss or an ``ensure`` batch admits, and returns what the accounting
+    contract pins: the oracle counters, the cache's tallies, its LRU
+    order and every resident column.
     """
     rows = np.arange(0, 40, 3, dtype=np.intp)
     cache = ColumnBlockCache(oracle, rows)
 
     c = oracle.counters
 
+    def tallies():
+        return (c.entries_computed, c.column_requests, cache.hits, cache.misses)
+
     def get(j):
         miss = j not in cache
-        before = (c.entries_computed, c.column_requests, cache.hits, cache.misses)
+        before = tallies()
         column = cache.get(j).copy()
-        after = (c.entries_computed, c.column_requests, cache.hits, cache.misses)
         step = (cache.n_rows, 1, 0, 1) if miss else (0, 0, 1, 0)
-        assert tuple(a - b for a, b in zip(after, before)) == step
+        assert tuple(a - b for a, b in zip(tallies(), before)) == step
         assert c.entries_stored_current == cache.cached_entries()
         if miss and check_miss is not None:
             check_miss(cache, j, column)
 
+    def ensure(js):
+        # A repeated id is a hit, as a get of it would be.
+        missing = [j for j in dict.fromkeys(js) if j not in cache]
+        before = tallies()
+        cache.ensure(np.asarray(js, dtype=np.intp))
+        k = len(missing)
+        step = (k * cache.n_rows, k, len(js) - k, k)
+        assert tuple(a - b for a, b in zip(tallies(), before)) == step
+        assert c.entries_stored_current == cache.cached_entries()
+        if check_miss is not None:
+            for j in missing:
+                check_miss(cache, j, cache.peek(j))
+
     for j in (3, 6, 3, 50, 6, 9, 12):
         get(j)
+    ensure([9, 3, 27, 9, 30])
     cache.restrict_rows(np.asarray([0, 2, 3, 5, 7, 8], dtype=np.intp))
     for j in (6, 15, 21, 57, 15):
         get(j)
+    ensure([15, 33, 36, 15, 0])
     cache.extend_rows(np.asarray([41, 44, 47], dtype=np.intp))
     for j in (41, 6, 44, 1):
         get(j)
@@ -282,10 +300,12 @@ def _scripted_run(oracle, check_miss=None):
     )
     for j in (50, 2, 53, 6, 44, 21, 59):
         get(j)
+    ensure([44, 56, 47, 5])
     cache.evict(int(cache.column_ids()[-1]))
     for j in (47, 21, 50):
         get(j)
     cache.release_all()
+    ensure([53, 8, 11, 53])
     for j in (53, 6):
         get(j)
     cache.restrict_rows(np.asarray([1], dtype=np.intp))
@@ -303,7 +323,13 @@ def _scripted_run(oracle, check_miss=None):
 
 
 class TestHeldRowBlock:
-    """A miss over the held row block equals the generic block fetch."""
+    """A fetch over the held row block equals the generic block fetch.
+
+    Every column a ``get`` miss or an ``ensure`` batch admits must equal
+    both a one-column block fetch and a ``get`` miss over the same rows,
+    byte for byte.  For ``ensure`` this pins that NumPy runs a stacked
+    ``matmul`` as one matrix-vector product per column.
+    """
 
     @pytest.fixture(
         params=[(2.0, 1), (2.0, 7), (2.0, 32), (1.0, 7)],
@@ -323,13 +349,20 @@ class TestHeldRowBlock:
             fresh = AffinityOracle(data, kernel)
             want = fresh.columns(np.asarray([j]), cache.rows)[:, 0]
             assert column.tobytes() == want.tobytes()
+            miss = ColumnBlockCache(AffinityOracle(data, kernel), cache.rows)
+            assert column.tobytes() == miss.get(j).tobytes()
             held.append(cache._row_block is not None)
 
         got = _scripted_run(
             AffinityOracle(data, kernel, budget_entries=budget), check
         )
         generic = AffinityOracle(data, kernel, budget_entries=budget)
-        generic.row_block = lambda rows: None  # every miss: block path
+        # Every fetch takes the block path, one column at a time.
+        generic.row_block = lambda rows: None
+        block_path = generic.columns
+        generic.columns = lambda js, rows, **kw: np.hstack(
+            [block_path(js[c : c + 1], rows, **kw) for c in range(js.size)]
+        )
         assert got == _scripted_run(generic)
         assert all(held) if kernel.p == 2.0 else not any(held)
         if budget is not None:

@@ -136,6 +136,7 @@ class TestExactCounts:
             "column_requests": 1666,
         },
         "lsh_batch_tiny": {"candidates_returned": 10160},
+        "ingest_tiny": {"entries_computed": 2000, "column_requests": 900},
     }
 
     def test_identical_counts_pass(self, tmp_path):
@@ -152,6 +153,7 @@ class TestExactCounts:
             ("alid_tiny", "lid_runs"),
             ("alid_tiny", "seed_rounds"),
             ("alid_tiny", "column_requests"),
+            ("ingest_tiny", "column_requests"),
         ],
     )
     @pytest.mark.parametrize("step", [-1, 1])

@@ -56,20 +56,22 @@ def _make_state(oracle, rng, beta_n, uniform=True):
 
 def _fingerprint(state, oracle, out):
     """Everything the equivalence contract pins, as one tuple."""
+    cache = state._cache
     return (
         out,
         state.x.copy(),
         state.g.copy(),
         oracle.counters.entries_computed,
         oracle.counters.entries_stored_current,
-        list(state._cache._use),
-        state._cache.column_ids().tolist(),
+        list(cache._use),
+        cache.column_ids().tolist(),
+        (cache.hits, cache.misses),
     )
 
 
 def _assert_identical(reference, candidate, label):
-    r_out, r_x, r_g, r_e, r_s, r_use, r_cols = reference
-    c_out, c_x, c_g, c_e, c_s, c_use, c_cols = candidate
+    r_out, r_x, r_g, r_e, r_s, r_use, r_cols, r_tally = reference
+    c_out, c_x, c_g, c_e, c_s, c_use, c_cols, c_tally = candidate
     assert c_out == r_out, f"{label}: (iterations, converged) differ"
     np.testing.assert_array_equal(c_x, r_x, err_msg=f"{label}: x differs")
     np.testing.assert_array_equal(c_g, r_g, err_msg=f"{label}: g differs")
@@ -77,6 +79,7 @@ def _assert_identical(reference, candidate, label):
     assert c_s == r_s, f"{label}: entries_stored differ"
     assert c_use == r_use, f"{label}: LRU recency order differs"
     assert c_cols == r_cols, f"{label}: cached column set differs"
+    assert c_tally == r_tally, f"{label}: cache (hits, misses) differ"
 
 
 class TestRetiredKnob:
@@ -121,6 +124,24 @@ class TestEquivalenceMatrix:
             oracle = AffinityOracle(data, LaplacianKernel(k=1.0, p=2.0))
             state = _make_state(oracle, rng, 40, uniform=seed % 2 == 0)
             out = _run(name, state, max_iter=500, tol=1e-9)
+            runs[name] = _fingerprint(state, oracle, out)
+            state.release()
+        _assert_identical(runs["reference"], runs[kernel], kernel)
+
+    @pytest.mark.parametrize("kernel", NON_REFERENCE)
+    @pytest.mark.parametrize("seed", [0, 4])
+    def test_prefetched_range_counts_every_period(self, kernel, seed):
+        """After a whole-range prefetch every period is a hit."""
+        data, _ = _substrate(seed, n=150, dim=6, scale=2.0)
+        runs = {}
+        for name in ("reference", kernel):
+            rng = np.random.default_rng(seed + 2000)
+            oracle = AffinityOracle(data, LaplacianKernel(k=1.0, p=2.0))
+            state = _make_state(oracle, rng, 60)
+            state.prefetch_columns(state.beta)
+            assert (state._cache.hits, state._cache.misses) == (0, 60)
+            out = _run(name, state, max_iter=500, tol=1e-9)
+            assert (state._cache.hits, state._cache.misses) == (out[0], 60)
             runs[name] = _fingerprint(state, oracle, out)
             state.release()
         _assert_identical(runs["reference"], runs[kernel], kernel)

@@ -5,6 +5,7 @@ import pytest
 
 from repro.core.config import ALIDConfig
 from repro.datasets import make_synthetic_mixture
+from repro.dynamics.lid import LIDState
 from repro.eval.metrics import average_f1
 from repro.exceptions import ValidationError
 from repro.lsh.index import LSHIndex
@@ -215,6 +216,59 @@ class TestStreamingALID:
             members = cluster.member_set()
             assert not (members & seen)
             seen |= members
+
+
+class TestReconvergePrefetch:
+    """A live cluster's re-convergence prefetches its whole local range.
+
+    The prefetched columns are the misses' columns byte for byte, so
+    absorb and retire re-converge to the same clusters with and without
+    the prefetch; only never-requested columns add work.
+    """
+
+    def _stream(self, monkeypatch, prefetch: bool):
+        ds = make_synthetic_mixture(
+            n=300, regime="bounded", bound=150, n_clusters=5, dim=20, seed=4
+        )
+        order = np.random.default_rng(0).permutation(ds.n)
+        calls = []
+        original = LIDState.prefetch_columns
+
+        def spy(state, js):
+            calls.append(len(js))
+            if prefetch:
+                original(state, js)
+
+        monkeypatch.setattr(LIDState, "prefetch_columns", spy)
+        stream = StreamingALID(
+            ALIDConfig(delta=100, density_threshold=0.7, seed=0)
+        )
+        snapshots = [
+            stream.partial_fit(ds.data[order[start : start + 30]])
+            for start in range(0, ds.n, 30)
+        ]
+        absorbs = len(calls)
+        retired = np.concatenate([c.members[:4] for c in stream.clusters])
+        snapshots.append(stream.retire(retired))
+        monkeypatch.undo()
+        return snapshots, absorbs, len(calls) - absorbs
+
+    def test_same_clusters_with_and_without_prefetch(self, monkeypatch):
+        got, absorbs, retires = self._stream(monkeypatch, prefetch=True)
+        want, *_ = self._stream(monkeypatch, prefetch=False)
+        assert absorbs > 0 and retires > 0
+        for a, b in zip(got, want):
+            assert a.metadata == b.metadata
+            assert len(a.clusters) == len(b.clusters)
+            for x, y in zip(a.clusters, b.clusters):
+                assert x.members.tobytes() == y.members.tobytes()
+                assert x.weights.tobytes() == y.weights.tobytes()
+                assert x.density == y.density
+                assert x.label == y.label
+        assert (
+            got[-1].counters.column_requests
+            >= want[-1].counters.column_requests
+        )
 
 
 class TestRetirement:

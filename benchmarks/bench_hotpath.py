@@ -1,8 +1,9 @@
 #!/usr/bin/env python
 """Hot-path benchmark: wall-clock and work accounting for fixed workloads.
 
-Runs the ALID end-to-end pipeline plus three micro-workloads (batched
-LSH retrieval, LID dynamics, and the fused-vs-reference LID loop lane) on
+Runs the ALID end-to-end pipeline (plus, on the tiny workload, the same
+fit under a storage budget) and three micro-workloads (batched LSH
+retrieval, LID dynamics, and the fused-vs-reference LID loop lane) on
 deterministic synthetic mixtures and writes a machine-readable
 ``BENCH_hotpath.json``:
 
@@ -70,6 +71,10 @@ WORKLOAD_SIZES = {
     "full": dict(n=5000, dim=32, n_clusters=10),
 }
 _SEED = 7
+# Storage budgets (affinity entries) of the `alid_budget_*` lanes: tight
+# enough that the column cache evicts throughout the fit, so the exact
+# `column_requests` gate pins the LRU eviction policy.
+BUDGETS = {"tiny": 3000}
 
 
 def _make_data(size_key: str) -> np.ndarray:
@@ -85,8 +90,12 @@ def _make_data(size_key: str) -> np.ndarray:
     return dataset.data
 
 
-def bench_alid(size_key: str) -> dict:
+def bench_alid(size_key: str, budget_entries: int | None = None) -> dict:
     """End-to-end ALID fit (LID + ROI + CIVS + peeling).
+
+    With *budget_entries* the fit runs under that storage budget (the
+    Fig. 9 regime): its column cache evicts least-recently-used columns
+    and recomputes them on demand, and the report carries the budget.
 
     Beyond the work accounting, the report carries the peeling loop's
     statistics: ``seed_rounds`` (peeling rounds, one Alg. 2 run
@@ -100,13 +109,13 @@ def bench_alid(size_key: str) -> dict:
     data = _make_data(size_key)
     config = ALIDConfig(seed=_SEED)
     start = time.perf_counter()
-    result = ALID(config).fit(data)
+    result = ALID(config).fit(data, budget_entries=budget_entries)
     wall = time.perf_counter() - start
     counters = result.counters
     meta = result.metadata
     noise_peels = len(result.all_clusters) - result.n_clusters
     noise_lid_runs = int(meta["noise_lid_runs"])
-    return {
+    report = {
         "n": int(data.shape[0]),
         "dim": int(data.shape[1]),
         "wall_seconds": round(wall, 4),
@@ -126,6 +135,9 @@ def bench_alid(size_key: str) -> dict:
             noise_peels / max(1, noise_lid_runs), 2
         ),
     }
+    if budget_entries is not None:
+        report["budget_entries"] = budget_entries
+    return report
 
 
 def bench_lsh_batch(size_key: str) -> dict:
@@ -213,7 +225,7 @@ def bench_lid_kernel(size_key: str) -> dict:
     :class:`LIDState` column cache:
 
     * a **cold** run (empty column cache) whose ``entries_computed``
-      exercises the run-until-miss path, the LRU recency replay and the
+      exercises the run-until-miss path, the LRU recency stamps and the
       fetch accounting — gated in CI to be *identical* across loops
       (``entries_identical``) and within the 10% rule vs the committed
       baseline (top-level ``entries_computed``);
@@ -243,7 +255,7 @@ def bench_lid_kernel(size_key: str) -> dict:
         best_wall = None
         for _trial in range(2):
             state = _lid_workload(engine, beta_size)
-            state.prefetch_columns(state.beta)
+            state.prefetch_columns()
             start = time.perf_counter()
             iterations, converged = loop(state, 1000, 1e-9)
             wall = time.perf_counter() - start
@@ -283,6 +295,9 @@ def run(workload_keys: list[str]) -> dict:
     for key in workload_keys:
         print(f"[bench_hotpath] alid_{key} ...", flush=True)
         workloads[f"alid_{key}"] = bench_alid(key)
+        if key in BUDGETS:
+            print(f"[bench_hotpath] alid_budget_{key} ...", flush=True)
+            workloads[f"alid_budget_{key}"] = bench_alid(key, BUDGETS[key])
         print(f"[bench_hotpath] lsh_batch_{key} ...", flush=True)
         workloads[f"lsh_batch_{key}"] = bench_lsh_batch(key)
         print(f"[bench_hotpath] lid_dynamics_{key} ...", flush=True)

@@ -7,15 +7,17 @@ matrix: it maintains
 * ``x``      — the local mixed strategy, aligned with ``beta``;
 * ``g``      — the payoff vector ``(A x)_beta = A[beta, alpha] @ x_alpha``
   (the paper's ``A_beta_alpha x_alpha``); and
-* a cache of affinity columns ``A[beta, j]`` (paper Fig. 3's green
-  columns), fetched on demand through the instrumented oracle and charged
-  to the simulated-memory accounting.  The cache is the matrix-backed LRU
-  :class:`~repro.affinity.cache.ColumnBlockCache`: a miss evaluates only
-  the selected column, one matrix-vector product over the row block
-  ``data[beta]`` the cache holds from the range's first miss, local-range
-  changes are single fancy-index operations, and under a storage budget
-  the least-recently-used columns are evicted instead of aborting the
-  run.
+* a cache of affinity columns ``A[beta, j]`` for members ``j`` of
+  ``beta`` (paper Fig. 3's green columns), fetched on demand through the
+  instrumented oracle and charged to the simulated-memory accounting.
+  The cache is the matrix-backed LRU
+  :class:`~repro.affinity.cache.ColumnBlockCache`, keyed by position in
+  ``beta``: a miss evaluates only the selected column, one
+  matrix-vector product over the row block ``data[beta]`` the cache
+  holds from the range's first miss, local-range changes are single
+  fancy-index operations (a restriction drops the columns of the
+  vertices it removes), and under a storage budget the
+  least-recently-used columns are evicted instead of aborting the run.
 
 Per iteration: O(|beta|) arithmetic plus at most one new column of kernel
 evaluations — exactly the paper's claimed cost.  The iteration loop
@@ -25,7 +27,10 @@ column of its range — the streaming tier's re-convergence of a live
 cluster from its converged strategy — first makes the whole range
 resident with :meth:`LIDState.prefetch_columns`: one oracle call whose
 columns are bit-identical to the misses it replaces, after which its
-periods fetch nothing.
+periods fetch nothing.  :meth:`LIDState.column`,
+:meth:`~LIDState.has_cached` and :meth:`~LIDState.cached_column` take a
+global id and map it through ``beta``; the loops address the cache by
+position.
 """
 
 from __future__ import annotations
@@ -112,31 +117,43 @@ class LIDState:
 
     def has_cached(self, j_global: int) -> bool:
         """True when column *j_global* is resident in the cache."""
-        return int(j_global) in self._cache
+        pos = self._position(j_global)
+        return pos is not None and pos in self._cache
 
     def cached_column(self, j_global: int) -> np.ndarray | None:
         """An owned copy of the cached column, or None (never fetches)."""
-        return self._cache.peek(int(j_global))
+        pos = self._position(j_global)
+        return None if pos is None else self._cache.peek(pos)
+
+    def _position(self, j_global: int) -> int | None:
+        """Position of vertex *j_global* in beta, or None."""
+        found = np.flatnonzero(self.beta == int(j_global))
+        return int(found[0]) if found.size else None
 
     # ------------------------------------------------------------------
     # column cache (A[beta, j], paper Fig. 3)
     # ------------------------------------------------------------------
     def column(self, j_global: int) -> np.ndarray:
-        """Affinity column ``A[beta, j]`` aligned with beta, cached.
+        """Affinity column ``A[beta, j]`` of a member *j_global*, cached.
 
         Returns a view valid only until the next cache operation (see
         :meth:`ColumnBlockCache.get`); copy it if held across fetches.
+        Raises :class:`~repro.exceptions.ValidationError` when
+        *j_global* is not in beta.
         """
-        return self._cache.get(int(j_global))
+        pos = self._position(j_global)
+        if pos is None:
+            raise ValidationError(f"vertex {j_global} is not in beta")
+        return self._cache.get(pos)
 
-    def prefetch_columns(self, js_global: np.ndarray) -> None:
-        """Make several columns resident with one oracle call.
+    def prefetch_columns(self) -> None:
+        """Make the column of every vertex of beta resident, in one call.
 
         Each column is bit-identical to the miss it replaces
         (:meth:`~repro.affinity.cache.ColumnBlockCache.ensure`), so a
         run after the prefetch follows the same iterates.
         """
-        self._cache.ensure(np.asarray(js_global, dtype=np.intp))
+        self._cache.ensure(np.arange(self.size))
 
     def release(self) -> None:
         """Free all cached columns (cluster peeled).
@@ -168,17 +185,13 @@ class LIDState:
         Keeps ``g`` consistent because ``x`` has no weight outside alpha:
         ``g_alpha = A[alpha, alpha] @ x_alpha`` (paper Eq. 17, top block).
         Cached columns for vertices remaining in beta are row-subset with
-        one fancy-index; all others are released.
+        one fancy-index; the cache drops all others.
         """
         pos = self.support_positions()
         if pos.size == self.beta.size:
             return
-        new_beta = self.beta[pos]
-        keep = np.isin(self._cache.column_ids(), new_beta)
-        for j in self._cache.column_ids()[~keep]:
-            self._cache.evict(int(j))
         self._cache.restrict_rows(pos)
-        self.beta = new_beta
+        self.beta = self.beta[pos]
         self.x = self.x[pos].copy()
         self.g = self.g[pos].copy()
 
@@ -191,14 +204,19 @@ class LIDState:
         and the psi-row extension of every cached column come from
         **one** fused block fetch
         (:meth:`~repro.affinity.cache.ColumnBlockCache.extend_rows`
-        with ``fetch_cols=alpha``): support columns that are already
-        cached — the common case after a converged LID period — are
-        charged once instead of twice, and nothing speculative is ever
-        computed.
+        with the support positions as ``fetch_cols``): support columns
+        that are already cached — the common case after a converged LID
+        period — are charged once instead of twice, and nothing
+        speculative is ever computed.  Members of beta in *psi* are
+        skipped; a repeated vertex raises
+        :class:`~repro.exceptions.ValidationError`, as a repeated beta
+        does.
         """
         psi = check_index_array(psi, self.oracle.n, name="psi")
         if psi.size == 0:
             return
+        if len(np.unique(psi)) != len(psi):
+            raise ValidationError("psi contains duplicate indices")
         psi = psi[np.isin(psi, self.beta, invert=True)]
         if psi.size == 0:
             return
@@ -206,9 +224,8 @@ class LIDState:
         t0 = time.perf_counter() if prof is not None else 0.0
         before = self.oracle.counters.entries_computed
         alpha_pos = self.support_positions()
-        alpha = self.beta[alpha_pos]
-        if alpha.size > 0:
-            block = self._cache.extend_rows(psi, fetch_cols=alpha)
+        if alpha_pos.size > 0:
+            block = self._cache.extend_rows(psi, fetch_cols=alpha_pos)
             g_psi = block @ self.x[alpha_pos]
         else:
             self._cache.extend_rows(psi)

@@ -3,11 +3,10 @@
 Each LID period is O(|beta|) arithmetic, and the selected column is
 almost always already resident in the
 :class:`~repro.affinity.cache.ColumnBlockCache`.  The production loop is
-therefore **run-until-miss**: consecutive periods execute against one
-:meth:`~repro.affinity.cache.ColumnBlockCache.resident_view` of the
-cache's backing matrix and return to the generic cache machinery only
-when the selected vertex's column is a miss (one oracle fetch, then
-re-enter).
+therefore **run-until-miss**: consecutive periods execute against the
+cache's backing matrix ``buf`` through its position-keyed ``slots``
+map and return to the generic cache machinery only when the selected
+vertex's column is a miss (one oracle fetch, then re-enter).
 
 Two loops live here:
 
@@ -16,10 +15,10 @@ Two loops live here:
     single-pass NumPy over the resident block with bound-method
     reductions, an incrementally maintained support-penalty array
     instead of a per-iteration mask rebuild, stacked ``x``/``g``
-    updates for shared scale factors, and LRU recency replayed in
-    batches at run boundaries.
+    updates for shared scale factors, and one LRU stamp (a list
+    store into the cache's ``last_use``) per period served.
 :func:`run_reference`
-    The historical per-period loop, kept verbatim as the equivalence
+    The historical per-period loop, kept as the equivalence
     oracle of the tests and the ``lid_kernel_*`` bench lane, and as the
     fallback for degenerate starting points.
 
@@ -44,11 +43,6 @@ __all__ = ["run_fused", "run_reference"]
 
 _INF = np.inf
 
-# Flush the recency-replay buffer after this many recorded hits so the
-# bookkeeping stays O(1) amortised even for very long runs (tests shrink
-# it to exercise the flush path).
-_REPLAY_FLUSH = 4096
-
 
 # ----------------------------------------------------------------------
 # reference loop (the historical loop, equivalence oracle)
@@ -56,12 +50,14 @@ _REPLAY_FLUSH = 4096
 def run_reference(state, max_iter: int, tol: float) -> tuple[int, bool]:
     """Run LID periods with the original per-iteration loop.
 
-    One cache lookup (:meth:`LIDState.column`) and ~12 small NumPy ops
-    per period.  Kept verbatim as the oracle :func:`run_fused` is
-    pinned against, and as its fallback for degenerate input.
+    One cache lookup (:meth:`ColumnBlockCache.get` of the selected
+    position) and ~12 small NumPy ops per period.  Kept as the oracle
+    :func:`run_fused` is pinned against, and as its fallback for
+    degenerate input.
     """
     x = state.x
     g = state.g
+    get = state._cache.get
     converged = False
     iterations = 0
     scores = np.empty_like(g)
@@ -80,7 +76,7 @@ def run_reference(state, max_iter: int, tol: float) -> tuple[int, bool]:
             converged = True
             iterations -= 1
             break
-        col = state.column(int(state.beta[pos]))
+        col = get(pos)
         pay_i = float(g[pos]) - density
         quad_i = -2.0 * float(g[pos]) + density  # pi(s_i - x), Eq. 11
         if pay_i > 0.0:
@@ -132,56 +128,6 @@ def _clean_start(x: np.ndarray, g: np.ndarray) -> bool:
     )
 
 
-class _RecencyReplay:
-    """Batched LRU-touch replay for the run-until-miss loop.
-
-    The reference loop touches the selected column on every period; the
-    fused loop must leave the cache's recency order in the identical
-    state (evictions under a storage budget follow it), but paying a
-    dict update per period is the overhead being removed.  Instead the
-    per-period selections are recorded and replayed — deduplicated to
-    the last access of each column, in chronological order — right
-    before any operation that can read the recency order (a miss fetch,
-    or run exit).
-    """
-
-    __slots__ = ("beta", "cache", "hits")
-
-    def __init__(self, cache, beta: np.ndarray):
-        self.cache = cache
-        self.beta = beta
-        self.hits: list[int] = []
-
-    def flush(self) -> None:
-        """Replay the recorded touches into the cache's LRU order.
-
-        Every recorded period was served from the block, so each one is
-        a cache hit, as the reference loop's :meth:`get` counts it.
-        """
-        hits = self.hits
-        if not hits:
-            return
-        self.cache.hits += len(hits)
-        if len(hits) <= 16:
-            # Short segment (typical between misses): pure-Python
-            # last-occurrence dedupe beats ufunc dispatch.
-            ordered: list[int] = []
-            seen: set[int] = set()
-            for pos in reversed(hits):
-                if pos not in seen:
-                    seen.add(pos)
-                    ordered.append(pos)
-            ordered.reverse()
-            touched = [int(self.beta[pos]) for pos in ordered]
-        else:
-            seq = self.beta[np.asarray(hits, dtype=np.intp)]
-            rev = seq[::-1]
-            _, first = np.unique(rev, return_index=True)
-            touched = [int(j) for j in rev[np.sort(first)][::-1]]
-        self.cache.touch_sequence(touched)
-        hits.clear()
-
-
 # ----------------------------------------------------------------------
 # fused loop (single-pass NumPy on the resident block)
 # ----------------------------------------------------------------------
@@ -191,19 +137,19 @@ def run_fused(state, max_iter: int, tol: float) -> tuple[int, bool]:
     Per period (cache-hit path): one BLAS dot, four array passes for
     the Eq. 6/8 selection (subtract / argmax / penalty-add / argmin),
     the Eq. 13/14 update on a stacked ``(2, m)`` view of ``x`` and
-    ``g``, and one sum for the roundoff hygiene — no cache lookup, no
-    Python-level dict traffic, no allocations.  The support set is
-    tracked as a ``0/+inf`` penalty array updated incrementally (the
-    support changes by at most the selected vertex per period); the
-    rare underflow-to-zero of a third vertex is detected at selection
-    time and triggers a rebuild, so the trajectory stays bit-identical
-    to the reference loop.
+    ``g``, one sum for the roundoff hygiene and one recency stamp — no
+    cache call, no allocations.  The stamps and the hits they count are
+    published to the cache before each miss and at exit.  The support
+    set is tracked as a ``0/+inf`` penalty array updated incrementally
+    (the support changes by at most the selected vertex per period);
+    the rare underflow-to-zero of a third vertex is detected at
+    selection time and triggers a rebuild, so the trajectory stays
+    bit-identical to the reference loop.
     """
     if not _clean_start(state.x, state.g):
         return run_reference(state, max_iter, tol)
     cache = state._cache
-    beta = state.beta
-    m = int(beta.size)
+    m = int(state.beta.size)
     stacked = np.empty((2, m))
     stacked[0] = state.x
     stacked[1] = state.g
@@ -212,8 +158,6 @@ def run_fused(state, max_iter: int, tol: float) -> tuple[int, bool]:
     s = np.empty(m)
     tmp = np.empty(m)
     pen = np.where(x > 0.0, 0.0, _INF)
-    replay = _RecencyReplay(cache, beta)
-    hits_append = replay.hits.append
     subtract = np.subtract
     add = np.add
     multiply = np.multiply
@@ -222,7 +166,11 @@ def run_fused(state, max_iter: int, tol: float) -> tuple[int, bool]:
     s_argmax = s.argmax
     tmp_argmin = tmp.argmin
     x_sum = x.sum
-    buf, slots = cache.resident_view()
+    buf = cache.buf
+    slots = cache.slots
+    last_use = cache.last_use
+    # The stamps taken since `start` are the periods served: hits.
+    clock = start = cache.clock
     it = 0
     converged = False
     try:
@@ -260,21 +208,18 @@ def run_fused(state, max_iter: int, tol: float) -> tuple[int, bool]:
             slot = int(slots[pos])
             if slot < 0:
                 # --- cache miss: one oracle fetch, then re-enter --------
-                replay.flush()
-                prev_cols = cache.n_columns
-                j = int(beta[pos])
-                cache.get(j)
-                if cache._buf is buf and cache.n_columns == prev_cols + 1:
-                    slot = cache.slot_index(j)
-                    slots[pos] = slot
-                else:
-                    # Eviction or buffer growth: remap the whole view.
-                    buf, slots = cache.resident_view()
-                    slot = int(slots[pos])
+                # Publish first: an eviction reads the stamps.  `get`
+                # updates `slots` and `last_use` in place and may grow
+                # the buffer.
+                cache.hits += clock - start
+                cache.clock = start = clock
+                cache.get(pos)
+                clock = start = cache.clock
+                buf = cache.buf
+                slot = int(slots[pos])
             else:
-                if len(replay.hits) >= _REPLAY_FLUSH:
-                    replay.flush()
-                hits_append(pos)
+                last_use[slot] = clock
+                clock += 1
             col = buf[slot]
             # --- update (Eq. 13/14) -------------------------------------
             g_pos = float(g[pos])
@@ -321,7 +266,8 @@ def run_fused(state, max_iter: int, tol: float) -> tuple[int, bool]:
         # Publish progress even when the miss fetch raises (budget
         # exhaustion): the reference loop mutates in place, so partial
         # trajectories must survive the exception identically.
-        replay.flush()
+        cache.hits += clock - start
+        cache.clock = clock
         state.x = x.copy()
         state.g = g.copy()
     return it, converged

@@ -449,7 +449,7 @@ class StreamingALID:
             x = np.concatenate([weights, np.zeros(joiners.size)])
         g = oracle.block(beta, members) @ weights
         state = LIDState(oracle, beta, x, g)
-        state.prefetch_columns(state.beta)
+        state.prefetch_columns()
         lid_dynamics(state, max_iter=cfg.max_lid_iterations, tol=cfg.tol)
         state.restrict_to_support()
         positions = state.support_positions(cfg.support_tol)

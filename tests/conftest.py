@@ -204,3 +204,81 @@ def lsh_reference_components(index, items) -> np.ndarray:
     _, labels = connected_components(bipartite, directed=False)
     found = np.isin(labels[:n], labels[items])
     return np.flatnonzero(found & index.active_mask)
+
+
+class LRUColumnModel:
+    """Reference policy of :class:`repro.affinity.cache.ColumnBlockCache`.
+
+    Plain dicts keyed by global column id, as the cache once was: ``use``
+    lists the resident ids least recently used first (every admit, hit
+    and ``ensure`` id moves its column to the end) and ``admitted`` in
+    admission order.  Under *budget* the least recently used column is
+    evicted until a charge fits.  A restriction drops the columns of
+    the rows it removes without counting an eviction.
+    """
+
+    def __init__(self, rows: list[int], budget: int | None = None):
+        self.rows = list(rows)
+        self.budget = budget
+        self.use: dict[int, None] = {}
+        self.admitted: dict[int, None] = {}
+        self.hits = self.misses = self.evictions = 0
+
+    @property
+    def stored(self) -> int:
+        return len(self.rows) * len(self.use)
+
+    def _evict_lru(self) -> None:
+        j = next(iter(self.use))
+        del self.use[j], self.admitted[j]
+        self.evictions += 1
+
+    def _fits(self, needed: int) -> bool:
+        return self.budget is None or needed <= self.budget - self.stored
+
+    def _touch(self, j: int) -> None:
+        self.use.pop(j, None)
+        self.use[j] = None
+
+    def _admit(self, js: list[int]) -> None:
+        while self.use and not self._fits(len(js) * len(self.rows)):
+            self._evict_lru()
+        for j in js:
+            self.admitted[j] = None
+            self._touch(j)
+
+    def get(self, j: int) -> None:
+        if j in self.use:
+            self.hits += 1
+            self._touch(j)
+        else:
+            self.misses += 1
+            self._admit([j])
+
+    def ensure(self, js: list[int]) -> None:
+        missing = list(dict.fromkeys(j for j in js if j not in self.use))
+        self.misses += len(missing)
+        self.hits += len(js) - len(missing)
+        if missing:
+            self._admit(missing)
+        for j in js:
+            if j in self.use:
+                self._touch(j)
+
+    def restrict(self, kept: list[int]) -> None:
+        for j in [j for j in self.use if j not in set(kept)]:
+            del self.use[j], self.admitted[j]
+        self.rows = list(kept)
+
+    def extend(self, new_rows: list[int], fetch: list[int]) -> list[int]:
+        """Grow the rows; return the ids of the one block fetch, in order."""
+        while self.use and not self._fits(len(self.use) * len(new_rows)):
+            self._evict_lru()
+        block = list(self.admitted)
+        block += [j for j in fetch if j not in self.admitted]
+        self.rows += list(new_rows)
+        return block
+
+    def release(self) -> None:
+        self.use.clear()
+        self.admitted.clear()

@@ -1,4 +1,9 @@
-"""Unit tests for the matrix-backed LRU column cache (LID hot path)."""
+"""Unit tests for the matrix-backed LRU column cache (LID hot path).
+
+The cache is keyed by row position: ``get(p)`` is the column of
+``rows[p]``.  The ``rows`` fixture lists ids unlike their positions, so
+a test that confused the two would read the wrong column.
+"""
 
 import numpy as np
 import pytest
@@ -8,6 +13,8 @@ from repro.affinity.kernel import LaplacianKernel
 from repro.affinity.oracle import AffinityOracle
 from repro.exceptions import BudgetExceededError
 
+from tests.conftest import LRUColumnModel
+
 
 def make_oracle(blob_data, budget=None):
     data, _ = blob_data
@@ -16,7 +23,7 @@ def make_oracle(blob_data, budget=None):
 
 @pytest.fixture
 def rows():
-    return np.arange(10, dtype=np.intp)
+    return np.asarray([12, 3, 40, 7, 25, 0, 33, 18, 9, 46], dtype=np.intp)
 
 
 class TestBasics:
@@ -24,8 +31,10 @@ class TestBasics:
         oracle = make_oracle(blob_data)
         reference = make_oracle(blob_data)
         cache = ColumnBlockCache(oracle, rows)
-        for j in (3, 7, 3):
-            assert np.allclose(cache.get(j), reference.column(j, rows=rows))
+        for p in (3, 7, 3):
+            col = cache.get(p)
+            assert np.allclose(col, reference.column(rows[p], rows=rows))
+            assert col[p] == 0.0
 
     def test_get_caches(self, blob_data, rows):
         oracle = make_oracle(blob_data)
@@ -36,18 +45,21 @@ class TestBasics:
         assert oracle.counters.entries_computed == computed
         assert 3 in cache
         assert cache.n_columns == 1
+        assert cache.column_ids().tolist() == [rows[3]]
 
     def test_ensure_batches_misses(self, blob_data, rows):
         oracle = make_oracle(blob_data)
         cache = ColumnBlockCache(oracle, rows)
         cache.get(0)
         before = oracle.counters.block_requests + oracle.counters.column_requests
-        cache.ensure(np.asarray([0, 1, 2, 3]))
+        cache.ensure(np.asarray([0, 1, 2, 3, 1]))
         # One batched fetch for the three misses: 3 column requests, all
-        # in a single kernel block evaluation.
+        # in a single kernel block evaluation; the repeat is a hit.
         assert oracle.counters.column_requests - before + 1 == 4
         assert oracle.counters.entries_computed == 4 * rows.size
         assert cache.n_columns == 4
+        assert (cache.hits, cache.misses) == (2, 4)
+        assert cache.column_ids().tolist() == rows[[0, 2, 3, 1]].tolist()
 
     def test_storage_charged_and_released(self, blob_data, rows):
         oracle = make_oracle(blob_data)
@@ -57,6 +69,7 @@ class TestBasics:
         cache.release_all()
         assert oracle.counters.entries_stored_current == 0
         assert cache.n_columns == 0
+        assert (cache.slots == -1).all()
 
     def test_peek_never_fetches(self, blob_data, rows):
         oracle = make_oracle(blob_data)
@@ -64,7 +77,7 @@ class TestBasics:
         assert cache.peek(5) is None
         assert oracle.counters.entries_computed == 0
         cache.get(5)
-        assert np.allclose(cache.peek(5), cache.get(5))
+        assert np.array_equal(cache.peek(5), cache.get(5))
 
 
 class TestRowMaintenance:
@@ -72,15 +85,28 @@ class TestRowMaintenance:
         oracle = make_oracle(blob_data)
         reference = make_oracle(blob_data)
         cache = ColumnBlockCache(oracle, rows)
-        cache.ensure(np.asarray([2, 4]))
+        cache.ensure(np.asarray([3, 8, 5]))
         keep = np.asarray([0, 3, 8], dtype=np.intp)
         cache.restrict_rows(keep)
         assert cache.n_rows == 3
-        for j in (2, 4):
+        # The columns of kept rows 3 and 8 (now positions 1 and 2)
+        # survive; the column of removed row 5 is dropped.
+        assert cache.peek(0) is None
+        for p in (1, 2):
             assert np.allclose(
-                cache.peek(j), reference.column(j, rows=rows[keep])
+                cache.peek(p), reference.column(rows[keep][p], rows=rows[keep])
             )
+        assert cache.column_ids().tolist() == rows[[3, 8]].tolist()
         assert oracle.counters.entries_stored_current == 2 * 3
+
+    def test_restrict_drops_are_not_evictions(self, blob_data, rows):
+        oracle = make_oracle(blob_data)
+        cache = ColumnBlockCache(oracle, rows)
+        cache.ensure(np.arange(rows.size))
+        cache.restrict_rows(np.asarray([2, 6]))
+        assert cache.n_columns == 2
+        assert cache.evictions == 0
+        assert oracle.counters.entries_stored_current == 2 * 2
 
     def test_extend_rows_fetches_only_new_entries(self, blob_data, rows):
         oracle = make_oracle(blob_data)
@@ -92,10 +118,12 @@ class TestRowMaintenance:
         cache.extend_rows(new_rows)
         assert oracle.counters.entries_computed - computed == 2 * 2
         full_rows = np.concatenate([rows, new_rows])
-        for j in (2, 4):
+        for p in (2, 4):
             assert np.allclose(
-                cache.peek(j), reference.column(j, rows=full_rows)
+                cache.peek(p), reference.column(rows[p], rows=full_rows)
             )
+        assert cache.slots.shape == (full_rows.size,)
+        assert cache.peek(rows.size) is None
         assert oracle.counters.entries_stored_current == 2 * full_rows.size
 
 
@@ -110,14 +138,16 @@ class TestEviction:
         cache.get(3)
         assert 2 not in cache
         assert 1 in cache and 3 in cache
+        assert cache.evictions == 1
         assert oracle.counters.entries_stored_current <= 20
 
     def test_eviction_releases_storage(self, blob_data, rows):
         oracle = make_oracle(blob_data, budget=20)
         cache = ColumnBlockCache(oracle, rows)
-        for j in range(6):
-            cache.get(j)
+        for p in range(6):
+            cache.get(p)
         assert cache.n_columns == 2
+        assert cache.evictions == 4
         assert oracle.counters.entries_stored_current == 20
 
     def test_evicted_column_recomputed_on_demand(self, blob_data, rows):
@@ -128,7 +158,7 @@ class TestEviction:
         cache.get(2)
         cache.get(3)  # evicts 1
         assert 1 not in cache
-        assert np.allclose(cache.get(1), reference.column(1, rows=rows))
+        assert np.allclose(cache.get(1), reference.column(rows[1], rows=rows))
 
     def test_budget_error_when_nothing_evictable(self, blob_data, rows):
         oracle = make_oracle(blob_data, budget=5)  # one column needs 10
@@ -157,8 +187,8 @@ class TestEviction:
         cache.evict(2)
         keep = np.asarray([0, 4], dtype=np.intp)
         cache.restrict_rows(keep)
-        col = cache.get(3)
-        assert np.allclose(col, reference.column(3, rows=rows[keep]))
+        col = cache.get(1)
+        assert np.allclose(col, reference.column(rows[4], rows=rows[keep]))
 
     def test_extend_rows_evicts_lru_rather_than_overflow(self, blob_data, rows):
         # 3 columns x 10 rows = 30 held; extending by 5 rows each would
@@ -167,9 +197,10 @@ class TestEviction:
         cache = ColumnBlockCache(oracle, rows)
         cache.ensure(np.asarray([1, 2, 3]))
         cache.get(1)  # column 2 is now the LRU
-        cache.extend_rows(np.asarray([30, 35, 40, 45, 50], dtype=np.intp))
+        cache.extend_rows(np.asarray([30, 35, 41, 45, 50], dtype=np.intp))
         assert 2 not in cache
         assert cache.n_columns == 2
+        assert cache.evictions == 1
         assert oracle.counters.entries_stored_current <= 40
 
 
@@ -181,11 +212,12 @@ class TestFusedExtend:
         reference = make_oracle(blob_data)
         cache = ColumnBlockCache(oracle, rows)
         cache.ensure(np.asarray([2, 4]))
-        new_rows = np.asarray([20, 25, 30], dtype=np.intp)
+        new_rows = np.asarray([20, 26, 30], dtype=np.intp)
         fetch_cols = np.asarray([4, 7], dtype=np.intp)
         block = cache.extend_rows(new_rows, fetch_cols=fetch_cols)
         assert block.shape == (3, 2)
-        expected = reference.block(new_rows, fetch_cols)
+        assert block.flags["C_CONTIGUOUS"]
+        expected = reference.block(new_rows, rows[fetch_cols])
         assert np.allclose(block, expected)
 
     def test_overlapping_columns_charged_once(self, blob_data, rows):
@@ -195,7 +227,7 @@ class TestFusedExtend:
         cache = ColumnBlockCache(oracle, rows)
         cache.ensure(np.asarray([2, 4]))
         computed = oracle.counters.entries_computed
-        new_rows = np.asarray([20, 25], dtype=np.intp)
+        new_rows = np.asarray([20, 26], dtype=np.intp)
         # fetch col 4 (cached) and col 7 (not cached): the union is
         # {2, 4, 7} -> 3 columns x 2 new rows, not (2 + 2) x 2.
         cache.extend_rows(new_rows, fetch_cols=np.asarray([4, 7]))
@@ -216,12 +248,12 @@ class TestFusedExtend:
         reference = make_oracle(blob_data)
         cache = ColumnBlockCache(oracle, rows)
         cache.ensure(np.asarray([2, 4]))
-        new_rows = np.asarray([20, 25], dtype=np.intp)
+        new_rows = np.asarray([20, 26], dtype=np.intp)
         cache.extend_rows(new_rows, fetch_cols=np.asarray([2, 9]))
         full_rows = np.concatenate([rows, new_rows])
-        for j in (2, 4):
+        for p in (2, 4):
             assert np.allclose(
-                cache.peek(j), reference.column(j, rows=full_rows)
+                cache.peek(p), reference.column(rows[p], rows=full_rows)
             )
 
     def test_empty_cache_fetch_only(self, blob_data, rows):
@@ -229,10 +261,10 @@ class TestFusedExtend:
         reference = make_oracle(blob_data)
         cache = ColumnBlockCache(oracle, rows)
         block = cache.extend_rows(
-            np.asarray([20, 25]), fetch_cols=np.asarray([3])
+            np.asarray([20, 26]), fetch_cols=np.asarray([3])
         )
-        assert np.allclose(block, reference.block(np.asarray([20, 25]),
-                                                  np.asarray([3])))
+        assert np.allclose(block, reference.block(np.asarray([20, 26]),
+                                                  rows[[3]]))
         assert oracle.counters.entries_stored_current == 0
 
     def test_empty_new_rows(self, blob_data, rows):
@@ -244,14 +276,40 @@ class TestFusedExtend:
         assert block.shape == (0, 1)
         assert cache.extend_rows(np.asarray([], dtype=np.intp)) is None
 
+    def test_cached_columns_fetched_in_admission_order(self, blob_data, rows):
+        """The fused block lists the cached columns in the order they
+        were admitted (not recency, not row order), then the uncached
+        requested ones: a gemm entry's last bits depend on its column's
+        place in the block."""
+        oracle = make_oracle(blob_data)
+        cache = ColumnBlockCache(oracle, rows)
+        for p in (6, 2, 8, 4, 1):
+            cache.get(p)
+        cache.get(6)
+        cache.evict(8)
+        cache.restrict_rows(np.asarray([1, 2, 4, 6, 9]))
+        assert cache.column_ids().tolist() == rows[[2, 4, 1, 6]].tolist()
+        calls = []
+        columns = oracle.columns
+
+        def spy(js, rows_, **kw):
+            calls.append(np.asarray(js).tolist())
+            return columns(js, rows_, **kw)
+
+        oracle.columns = spy
+        # Positions 4 (row 9, not cached) and 1 (row 2, cached).
+        cache.extend_rows(np.asarray([20, 26]), fetch_cols=np.asarray([4, 1]))
+        assert calls == [rows[[6, 2, 4, 1, 9]].tolist()]
+
 
 def _scripted_run(oracle, check_miss=None):
     """Drive a cache through misses, batches, row changes and evictions.
 
-    Calls ``check_miss(cache, j, column)`` for every column a ``get``
-    miss or an ``ensure`` batch admits, and returns what the accounting
-    contract pins: the oracle counters, the cache's tallies, its LRU
-    order and every resident column.
+    Every fetch names a member column by its row position.  Calls
+    ``check_miss(cache, p, column)`` for every column a ``get`` miss or
+    an ``ensure`` batch admits, and returns what the accounting contract
+    pins: the oracle counters, the cache's tallies, its LRU order and
+    every resident column.
     """
     rows = np.arange(0, 40, 3, dtype=np.intp)
     cache = ColumnBlockCache(oracle, rows)
@@ -261,64 +319,69 @@ def _scripted_run(oracle, check_miss=None):
     def tallies():
         return (c.entries_computed, c.column_requests, cache.hits, cache.misses)
 
-    def get(j):
-        miss = j not in cache
+    def get(p):
+        miss = p not in cache
         before = tallies()
-        column = cache.get(j).copy()
+        column = cache.get(p).copy()
         step = (cache.n_rows, 1, 0, 1) if miss else (0, 0, 1, 0)
         assert tuple(a - b for a, b in zip(tallies(), before)) == step
         assert c.entries_stored_current == cache.cached_entries()
         if miss and check_miss is not None:
-            check_miss(cache, j, column)
+            check_miss(cache, p, column)
 
-    def ensure(js):
-        # A repeated id is a hit, as a get of it would be.
-        missing = [j for j in dict.fromkeys(js) if j not in cache]
+    def ensure(ps):
+        # A repeated position is a hit, as a get of it would be.
+        missing = [p for p in dict.fromkeys(ps) if p not in cache]
         before = tallies()
-        cache.ensure(np.asarray(js, dtype=np.intp))
+        cache.ensure(np.asarray(ps, dtype=np.intp))
         k = len(missing)
-        step = (k * cache.n_rows, k, len(js) - k, k)
+        step = (k * cache.n_rows, k, len(ps) - k, k)
         assert tuple(a - b for a, b in zip(tallies(), before)) == step
         assert c.entries_stored_current == cache.cached_entries()
         if check_miss is not None:
-            for j in missing:
-                check_miss(cache, j, cache.peek(j))
+            for p in missing:
+                check_miss(cache, p, cache.peek(p))
 
-    for j in (3, 6, 3, 50, 6, 9, 12):
-        get(j)
-    ensure([9, 3, 27, 9, 30])
-    cache.restrict_rows(np.asarray([0, 2, 3, 5, 7, 8], dtype=np.intp))
-    for j in (6, 15, 21, 57, 15):
-        get(j)
-    ensure([15, 33, 36, 15, 0])
+    for p in (1, 2, 1, 13, 2, 3, 4):
+        get(p)
+    ensure([3, 1, 9, 3, 10])
+    cache.restrict_rows(np.asarray([0, 2, 3, 5, 7, 9, 10], dtype=np.intp))
+    for p in (1, 4, 6, 0, 4):
+        get(p)
+    ensure([4, 5, 2, 4, 0])
     cache.extend_rows(np.asarray([41, 44, 47], dtype=np.intp))
-    for j in (41, 6, 44, 1):
-        get(j)
+    for p in (7, 1, 8, 3):
+        get(p)
     cache.extend_rows(
         np.asarray([50, 53], dtype=np.intp),
-        fetch_cols=np.asarray([41, 2, 47], dtype=np.intp),
+        fetch_cols=np.asarray([7, 2, 9], dtype=np.intp),
     )
-    for j in (50, 2, 53, 6, 44, 21, 59):
-        get(j)
-    ensure([44, 56, 47, 5])
-    cache.evict(int(cache.column_ids()[-1]))
-    for j in (47, 21, 50):
-        get(j)
+    for p in (10, 2, 11, 1, 8, 6, 5):
+        get(p)
+    ensure([8, 11, 9, 5])
+    mru = int(cache.column_ids()[-1])
+    cache.evict(int(np.flatnonzero(cache.rows == mru)[0]))
+    for p in (9, 6, 10):
+        get(p)
     cache.release_all()
-    ensure([53, 8, 11, 53])
-    for j in (53, 6):
-        get(j)
+    ensure([11, 0, 3, 11])
+    for p in (11, 1):
+        get(p)
     cache.restrict_rows(np.asarray([1], dtype=np.intp))
-    for j in (int(cache.rows[0]), 58, 6):
-        get(j)
+    for p in (0, 0):
+        get(p)
+    lru = cache.column_ids()
     return (
         c.entries_computed,
         c.column_requests,
         c.entries_stored_current,
         c.entries_stored_peak,
         (cache.hits, cache.misses, cache.evictions),
-        cache.column_ids().tolist(),
-        [cache.peek(j).tobytes() for j in cache.column_ids()],
+        lru.tolist(),
+        [
+            cache.peek(int(np.flatnonzero(cache.rows == j)[0])).tobytes()
+            for j in lru
+        ],
     )
 
 
@@ -345,12 +408,12 @@ class TestHeldRowBlock:
         data, kernel = substrate
         held = []
 
-        def check(cache, j, column):
+        def check(cache, p, column):
             fresh = AffinityOracle(data, kernel)
-            want = fresh.columns(np.asarray([j]), cache.rows)[:, 0]
+            want = fresh.columns(cache.rows[[p]], cache.rows)[:, 0]
             assert column.tobytes() == want.tobytes()
             miss = ColumnBlockCache(AffinityOracle(data, kernel), cache.rows)
-            assert column.tobytes() == miss.get(j).tobytes()
+            assert column.tobytes() == miss.get(p).tobytes()
             held.append(cache._row_block is not None)
 
         got = _scripted_run(
@@ -370,10 +433,99 @@ class TestHeldRowBlock:
 
     def test_column_outside_rows_zeroes_nothing(self, blob_data, rows):
         oracle = make_oracle(blob_data)
-        cache = ColumnBlockCache(oracle, rows)
-        cache.get(2)  # gathers the row block
-        column = cache.get(45)
+        held = oracle.row_block(rows)
+        column = oracle.columns(np.asarray([45]), rows, row_block=held)[:, 0]
         assert (column > 0.0).all()
         want = make_oracle(blob_data).columns(np.asarray([45]), rows)[:, 0]
         assert column.tobytes() == want.tobytes()
-        assert cache.get(2)[2] == 0.0
+        member = oracle.columns(rows[[2]], rows, row_block=held)[:, 0]
+        assert member[2] == 0.0
+
+
+def _random_script(seed, budget, n_items=60):
+    """Drive the cache and the dict-LRU model with one random script.
+
+    Steps: member gets, ``ensure`` batches with repeats, restricts,
+    extends (with and without ``fetch_cols``) and releases.  After
+    every step the resident ids in LRU order, the tallies and the
+    stored entries must agree, and every extend's block fetch must
+    list the columns the model predicts, in its order.
+    """
+    rng = np.random.default_rng(seed)
+    data = rng.normal(size=(n_items, 5))
+    oracle = AffinityOracle(data, LaplacianKernel(k=0.5), budget_entries=budget)
+    start = rng.choice(n_items, size=8, replace=False)
+    cache = ColumnBlockCache(oracle, start)
+    model = LRUColumnModel(start.tolist(), budget)
+    calls = []
+    columns = oracle.columns
+
+    def spy(js, rows, **kw):
+        calls.append(np.asarray(js).tolist())
+        return columns(js, rows, **kw)
+
+    oracle.columns = spy
+    kinds = []
+    for _ in range(120):
+        m = cache.n_rows
+        kind = rng.choice(
+            ["get", "get", "get", "ensure", "restrict", "extend", "release"],
+            p=[0.2, 0.2, 0.2, 0.15, 0.1, 0.1, 0.05],
+        )
+        if kind == "get":
+            p = int(rng.integers(m))
+            cache.get(p)
+            model.get(model.rows[p])
+        elif kind == "ensure":
+            ps = rng.integers(m, size=int(rng.integers(1, 3))).tolist()
+            ps += ps[: int(rng.integers(0, 2))]  # maybe repeat one
+            cache.ensure(np.asarray(ps))
+            model.ensure([model.rows[p] for p in ps])
+        elif kind == "restrict" and m > 3:
+            keep = np.sort(rng.choice(m, size=int(rng.integers(2, m)), replace=False))
+            cache.restrict_rows(keep)
+            model.restrict([model.rows[p] for p in keep])
+        elif kind == "extend" and m < 14:
+            fresh = np.setdiff1d(np.arange(n_items), cache.rows)
+            new = rng.choice(fresh, size=int(rng.integers(1, 4)), replace=False)
+            fetch = None
+            if rng.random() < 0.6:
+                k = int(rng.integers(1, min(m, 4) + 1))
+                fetch = rng.choice(m, size=k, replace=False)
+            calls.clear()
+            got = cache.extend_rows(new, fetch_cols=fetch)
+            want = model.extend(
+                new.tolist(), [] if fetch is None else [model.rows[p] for p in fetch]
+            )
+            assert calls == ([want] if want else [])
+            if fetch is not None:
+                assert got.shape == (new.size, fetch.size)
+        elif kind == "release":
+            cache.release_all()
+            model.release()
+        else:
+            continue
+        kinds.append(str(kind))
+        assert cache.rows.tolist() == model.rows
+        assert cache.column_ids().tolist() == list(model.use), kind
+        assert (cache.hits, cache.misses, cache.evictions) == (
+            model.hits,
+            model.misses,
+            model.evictions,
+        ), kind
+        assert oracle.counters.entries_stored_current == model.stored, kind
+    return kinds, model
+
+
+class TestMatchesDictModel:
+    """The position-keyed cache keeps the id-keyed dict-LRU policy."""
+
+    # 40 entries hold 2-5 columns of the script's 8-16 rows; an ensure
+    # asks for at most 2 distinct columns, so no step exceeds it.
+    @pytest.mark.parametrize("budget", [None, 40])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_script(self, seed, budget):
+        kinds, model = _random_script(seed, budget)
+        assert {"get", "ensure", "restrict", "extend"} <= set(kinds)
+        if budget is not None:
+            assert model.evictions > 0

@@ -74,6 +74,27 @@ class TestLIDState:
         state.extend(np.asarray([0, 1]))
         assert state.size == size
 
+    def test_extend_rejects_duplicate_psi(self, lid_oracle):
+        state = LIDState.from_seed(lid_oracle, 0)
+        with pytest.raises(ValidationError, match="duplicate"):
+            state.extend(np.asarray([5, 5, 6]))
+        assert state.beta.tolist() == [0]
+        with pytest.raises(ValidationError, match="duplicate"):
+            state.extend(np.asarray([0, 0]))
+
+    def test_column_lookup_maps_ids_through_beta(self, lid_oracle):
+        state = LIDState.from_seed(lid_oracle, 4)
+        state.extend(np.asarray([9, 2]))
+        assert not state.has_cached(2) and state.cached_column(2) is None
+        col = state.column(2).copy()
+        assert state.has_cached(2)
+        np.testing.assert_array_equal(state.cached_column(2), col)
+        assert np.allclose(col, lid_oracle.column(2, rows=state.beta))
+        # A vertex outside beta has no cached column and no fetch.
+        assert not state.has_cached(7) and state.cached_column(7) is None
+        with pytest.raises(ValidationError, match="not in beta"):
+            state.column(7)
+
     def test_extend_empty_noop(self, lid_oracle):
         state = LIDState.from_seed(lid_oracle, 0)
         state.extend(np.asarray([], dtype=np.intp))

@@ -133,3 +133,22 @@ class TestFitHooks:
         cache = prof.summary()["cache"]
         assert cache["hits"] > 0
         assert cache["misses"] > 0
+
+    def test_cache_evictions_count_only_budget_drops(self):
+        """Support restrictions drop columns but are not evictions.
+
+        The hot-path lane's tiny fit (n=600, seed 7) without a budget
+        never evicts; its restrictions used to read as 14 evictions.
+        """
+        data = make_synthetic_mixture(
+            n=600, regime="bounded", bound=300, n_clusters=6, dim=16, seed=7
+        ).data
+        prof = PhaseProfiler()
+        with prof:
+            ALID(ALIDConfig(seed=7)).fit(data)
+        cache = prof.summary()["cache"]
+        assert (cache["hits"], cache["misses"]) == (5265, 302)
+        assert cache.get("evictions", 0) == 0
+        with prof:
+            ALID(ALIDConfig(seed=7)).fit(data, budget_entries=3000)
+        assert prof.summary()["cache"]["evictions"] > 0

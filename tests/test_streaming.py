@@ -234,10 +234,10 @@ class TestReconvergePrefetch:
         calls = []
         original = LIDState.prefetch_columns
 
-        def spy(state, js):
-            calls.append(len(js))
+        def spy(state):
+            calls.append(state.size)
             if prefetch:
-                original(state, js)
+                original(state)
 
         monkeypatch.setattr(LIDState, "prefetch_columns", spy)
         stream = StreamingALID(
